@@ -6,7 +6,7 @@
 GO ?= go
 
 .PHONY: check vet lint build test race race-short bench bench-smoke fuzz-short \
-	bench-regress bench-baseline routes-guard chaos-short cohort-short
+	bench-regress bench-baseline bench-e2e routes-guard chaos-short cohort-short
 
 check: lint build routes-guard chaos-short cohort-short race-short race fuzz-short bench-smoke bench-regress
 
@@ -82,13 +82,13 @@ bench-smoke:
 
 # Benchmark-regression gate: run the streaming/heap benchmarks and
 # compare against the checked-in baseline (BENCH_baseline.json) with
-# cmd/benchguard (allocs may grow ≤25%, ns ≤3x). When benchstat is
+# cmd/benchguard (allocs and B/op may grow ≤25%, ns ≤3x). When benchstat is
 # installed (CI installs it), a human-readable delta is printed too.
 # Keep the -bench pattern and -benchtime in sync with bench-baseline —
 # allocs/op amortisation depends on the iteration count.
-BENCH_GATE = GoalStream$$|GoalMaterialize$$|FrontierHeapGeneric$$|FrontierHeapBoxed$$|ExploreCold$$|ExploreWarm$$|ExploreCoalesced$$|CohortReplanCold$$|CohortReplanWarm$$|CohortSharedCold$$|CohortSharedWarm$$|DAGCount$$|DAGWhatIf$$|MultiHorizonProbe$$
+BENCH_GATE = GoalStream$$|GoalMaterialize$$|FrontierHeapGeneric$$|FrontierHeapBoxed$$|ExploreCold$$|ExploreWarm$$|ExploreCoalesced$$|CohortReplanCold$$|CohortReplanWarm$$|CohortSharedCold$$|CohortSharedWarm$$|DAGCount$$|DAGCountSmall$$|DAGWhatIf$$|MultiHorizonProbe$$|TranscriptGeneration$$
 BENCH_DIR  = .bench
-BENCH_RUN  = $(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 20x ./internal/explore/ ./internal/server/
+BENCH_RUN  = $(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 20x . ./internal/explore/ ./internal/server/
 
 bench-regress:
 	@mkdir -p $(BENCH_DIR)
@@ -103,3 +103,11 @@ bench-regress:
 # Rewrite BENCH_baseline.json from a fresh run on this machine.
 bench-baseline:
 	$(BENCH_RUN) | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -update
+
+# End-to-end serving benchmark (perfbench/, declared in BENCHMARK.json):
+# every workload once at one seed, 20 s each plus set-up. Slow and
+# machine-dependent, so it stays outside `make check`.
+bench-e2e:
+	@for w in interactive cold_engine cohort mixed; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done

@@ -7,12 +7,13 @@
 //   - allocs/op may grow by at most 25% (plus a 2-alloc absolute slack
 //     for tiny counts) — allocation counts are deterministic, so this
 //     is a tight gate;
+//   - B/op may grow by the same ratio (plus a 1 KiB absolute slack, as
+//     map growth makes byte counts mildly machine-dependent) — a change
+//     that makes fewer but larger allocations, such as zeroing an
+//     oversized slab, shows only here;
 //   - ns/op may grow by at most 3× — wall-clock is noisy across
 //     machines and -benchtime settings, so the gate only catches
 //     order-of-magnitude regressions.
-//
-// Bytes/op are recorded and reported but not gated (map growth makes
-// them mildly machine-dependent).
 //
 // Modes:
 //
@@ -91,7 +92,7 @@ func main() {
 	update := flag.Bool("update", false, "rewrite the baseline from stdin instead of gating")
 	extract := flag.Bool("extract", false, "print the baseline's raw bench lines (for benchstat)")
 	maxNsRatio := flag.Float64("max-ns-ratio", 3.0, "max allowed ns/op growth factor")
-	maxAllocRatio := flag.Float64("max-alloc-ratio", 1.25, "max allowed allocs/op growth factor")
+	maxAllocRatio := flag.Float64("max-alloc-ratio", 1.25, "max allowed allocs/op and B/op growth factor")
 	flag.Parse()
 
 	if *extract {
@@ -112,7 +113,7 @@ func main() {
 
 	if *update {
 		base := Baseline{
-			Note:       "Regenerate with `make bench-baseline` on a quiet machine; gated by cmd/benchguard (allocs +25%, ns 3x).",
+			Note:       "Regenerate with `make bench-baseline` on a quiet machine; gated by cmd/benchguard (allocs and bytes +25%, ns 3x).",
 			Benchmarks: current,
 		}
 		data, err := json.MarshalIndent(base, "", "  ")
@@ -139,20 +140,12 @@ func main() {
 			failures++
 			continue
 		}
-		// Allocations: deterministic, tight gate with small absolute slack.
-		allocCap := int64(float64(want.AllocsPerOp)**maxAllocRatio) + 2
-		if got.AllocsPerOp > allocCap {
-			fmt.Printf("benchguard: FAIL %s: %d allocs/op exceeds cap %d (baseline %d)\n",
-				name, got.AllocsPerOp, allocCap, want.AllocsPerOp)
-			failures++
+		problems := gate(want, got, *maxNsRatio, *maxAllocRatio)
+		for _, p := range problems {
+			fmt.Printf("benchguard: FAIL %s: %s\n", name, p)
 		}
-		// Wall clock: loose gate, catches order-of-magnitude regressions.
-		if want.NsPerOp > 0 && got.NsPerOp > want.NsPerOp**maxNsRatio {
-			fmt.Printf("benchguard: FAIL %s: %.0f ns/op exceeds %.1fx baseline %.0f\n",
-				name, got.NsPerOp, *maxNsRatio, want.NsPerOp)
-			failures++
-		}
-		if got.AllocsPerOp <= allocCap && (want.NsPerOp <= 0 || got.NsPerOp <= want.NsPerOp**maxNsRatio) {
+		failures += len(problems)
+		if len(problems) == 0 {
 			fmt.Printf("benchguard: ok   %s: %.0f ns/op (base %.0f), %d B/op (base %d), %d allocs/op (base %d)\n",
 				name, got.NsPerOp, want.NsPerOp, got.BytesPerOp, want.BytesPerOp, got.AllocsPerOp, want.AllocsPerOp)
 		}
@@ -165,6 +158,28 @@ func main() {
 	if failures > 0 {
 		fatal(fmt.Errorf("%d benchmark regression(s)", failures))
 	}
+}
+
+// gate compares one benchmark's run against its baseline entry and
+// describes every bound it breaks: allocs/op and B/op may grow by
+// allocRatio (plus a small absolute slack each), ns/op by nsRatio.
+func gate(want, got Entry, nsRatio, allocRatio float64) []string {
+	var problems []string
+	// Allocations: deterministic, tight gate with small absolute slack.
+	if allocCap := int64(float64(want.AllocsPerOp)*allocRatio) + 2; got.AllocsPerOp > allocCap {
+		problems = append(problems, fmt.Sprintf("%d allocs/op exceeds cap %d (baseline %d)",
+			got.AllocsPerOp, allocCap, want.AllocsPerOp))
+	}
+	if bytesCap := int64(float64(want.BytesPerOp)*allocRatio) + 1024; got.BytesPerOp > bytesCap {
+		problems = append(problems, fmt.Sprintf("%d B/op exceeds cap %d (baseline %d)",
+			got.BytesPerOp, bytesCap, want.BytesPerOp))
+	}
+	// Wall clock: loose gate, catches order-of-magnitude regressions.
+	if want.NsPerOp > 0 && got.NsPerOp > want.NsPerOp*nsRatio {
+		problems = append(problems, fmt.Sprintf("%.0f ns/op exceeds %.1fx baseline %.0f",
+			got.NsPerOp, nsRatio, want.NsPerOp))
+	}
+	return problems
 }
 
 func loadBaseline(path string) (Baseline, error) {

@@ -109,3 +109,31 @@ func TestReadInput(t *testing.T) {
 		t.Errorf("BenchmarkDAGWhatIf NsPerOp = %v, want 362941", whatIf.NsPerOp)
 	}
 }
+
+func TestGate(t *testing.T) {
+	base := Entry{NsPerOp: 1000, BytesPerOp: 100_000, AllocsPerOp: 40}
+	cases := []struct {
+		name string
+		got  Entry
+		want int // problems reported
+	}{
+		{"equal", base, 0},
+		{"within every bound", Entry{NsPerOp: 2900, BytesPerOp: 126_000, AllocsPerOp: 52}, 0},
+		{"cheaper", Entry{NsPerOp: 500, BytesPerOp: 4_000, AllocsPerOp: 20}, 0},
+		{"allocs grew", Entry{NsPerOp: 1000, BytesPerOp: 100_000, AllocsPerOp: 53}, 1},
+		// Fewer allocations but far more bytes — the case only the B/op
+		// gate catches.
+		{"bytes grew", Entry{NsPerOp: 1000, BytesPerOp: 1_300_000, AllocsPerOp: 30}, 1},
+		{"slower", Entry{NsPerOp: 3100, BytesPerOp: 100_000, AllocsPerOp: 40}, 1},
+		{"everything grew", Entry{NsPerOp: 9000, BytesPerOp: 200_000, AllocsPerOp: 90}, 3},
+	}
+	for _, tc := range cases {
+		if got := gate(base, tc.got, 3, 1.25); len(got) != tc.want {
+			t.Errorf("%s: gate reported %q, want %d problem(s)", tc.name, got, tc.want)
+		}
+	}
+	// Tiny baselines get absolute slack: 0 → 1 KiB is not a regression.
+	if got := gate(Entry{}, Entry{BytesPerOp: 1024, AllocsPerOp: 2}, 3, 1.25); len(got) != 0 {
+		t.Errorf("slack: gate reported %q", got)
+	}
+}

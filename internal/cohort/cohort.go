@@ -55,8 +55,14 @@ func FromTranscripts(cat *catalog.Catalog, trs []transcript.Transcript, maxPerTe
 // semester, so the cohort spans freshmen through near-graduates — the
 // population a cancelled course hits unevenly. All randomness flows
 // from rng (see the transcript seeding contract): an equal-state rng
-// yields an identical cohort.
+// yields an identical cohort. maxPerTerm ≤ 0 leaves elections per
+// semester unbounded. A goal that already holds with nothing completed
+// is an error: every walk would be empty, leaving no semester to start
+// a member's remaining plan from.
 func Synthesize(cat *catalog.Catalog, goal degree.Goal, start, end term.Term, maxPerTerm, n int, rng *rand.Rand) ([]Member, error) {
+	if goal.Satisfied(bitset.New(cat.Len())) {
+		return nil, fmt.Errorf("cohort: goal %q holds before any course is taken, so synthesized members would have no history", goal)
+	}
 	trs, err := transcript.GenerateRand(cat, goal, start, end, maxPerTerm, n, rng)
 	if err != nil {
 		return nil, fmt.Errorf("cohort: %v", err)

@@ -175,6 +175,24 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	}
 }
 
+// TestSynthesizeGoalAlreadyMet: a goal that holds with nothing completed
+// (here an empty course set) makes every walk empty; Synthesize reports
+// it instead of panicking while truncating the empty transcripts.
+func TestSynthesizeGoalAlreadyMet(t *testing.T) {
+	nav, _ := brandeis(t)
+	empty, err := nav.GoalCourses()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := nav.Catalog().Calendar()
+	start, _ := term.Parse(cal, "Fall 2013")
+	end, _ := term.Parse(cal, "Fall 2015")
+	ms, err := Synthesize(nav.Catalog(), empty.Inner(), start, end, 3, 5, rand.New(rand.NewSource(1)))
+	if err == nil || !strings.Contains(err.Error(), "holds before any course is taken") {
+		t.Fatalf("Synthesize = %d members, %v; want a goal-already-met error", len(ms), err)
+	}
+}
+
 func TestFromTranscripts(t *testing.T) {
 	nav, _ := brandeis(t)
 	cal := nav.Catalog().Calendar()

@@ -72,6 +72,27 @@ func BenchmarkDAGCount(b *testing.B) {
 	b.ReportMetric(float64(paths), "paths/op")
 }
 
+// BenchmarkDAGCountSmall measures a Brandeis countOnly query of the size
+// interactive traffic asks (a three-semester window, a dozen statuses).
+// Gated by bench-regress on B/op: at this size the builder's initial
+// slab and intern-table sizing, not the DP, set the cost.
+func BenchmarkDAGCountSmall(b *testing.B) {
+	cat := brandeis.Catalog()
+	start := status.New(cat, brandeis.StartForSemesters(3), bitset.New(cat.Len()))
+	opt := Options{MaxPerTerm: brandeis.MaxPerTerm, Substrate: SubstrateDAG}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var paths int64
+	for i := 0; i < b.N; i++ {
+		res, err := DeadlineCount(cat, start, brandeis.EndTerm(), opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		paths = res.Paths
+	}
+	b.ReportMetric(float64(paths), "paths/op")
+}
+
 // BenchmarkDAGWhatIf measures what-if candidate deltas answered from one
 // shared DAG build (CompareSelections on the DAG substrate). Gated by
 // bench-regress alongside BenchmarkDAGCount.

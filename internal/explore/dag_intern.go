@@ -28,11 +28,17 @@ import (
 // builder stores dagNodes, the long-lived shared counter (dag_shared.go)
 // stores sharedNodes in the same layout.
 
-// dagChunk is the node slab chunk size: big enough to amortise allocation,
-// small enough that a modest DAG does not overshoot by much.
-const dagChunk = 1 << 13
+// Node slab chunks grow geometrically from dagChunkMin to dagChunk nodes.
+// At 128 bytes per dagNode, a query that interns a dozen statuses
+// allocates one 8 KiB chunk and one that interns a few hundred about
+// 56 KiB, not the 1 MiB of a capped chunk, while a multi-million-node
+// build still amortises allocation over 8192-node chunks.
+const (
+	dagChunkMin = 1 << 6
+	dagChunk    = 1 << 13
+)
 
-// nodeSlabOf bulk-allocates nodes in fixed-size chunks. Chunks are never
+// nodeSlabOf bulk-allocates nodes in chunks. Chunks are never
 // reallocated, so node pointers stay valid for the life of the build, and
 // iterating the chunks visits every allocated node in creation order.
 type nodeSlabOf[T any] struct {
@@ -43,8 +49,13 @@ type nodeSlabOf[T any] struct {
 type nodeSlab = nodeSlabOf[dagNode]
 
 func (s *nodeSlabOf[T]) alloc() *T {
-	if k := len(s.chunks); k == 0 || len(s.chunks[k-1]) == dagChunk {
-		s.chunks = append(s.chunks, make([]T, 0, dagChunk))
+	k := len(s.chunks)
+	if k == 0 || len(s.chunks[k-1]) == cap(s.chunks[k-1]) {
+		size := dagChunkMin
+		if k > 0 {
+			size = min(2*cap(s.chunks[k-1]), dagChunk)
+		}
+		s.chunks = append(s.chunks, make([]T, 0, size))
 	}
 	c := &s.chunks[len(s.chunks)-1]
 	*c = (*c)[:len(*c)+1]
@@ -83,7 +94,9 @@ type internTableOf[T any] struct {
 // internTable is the one-shot DAG builder's interner.
 type internTable = internTableOf[dagNode]
 
-const internMinSize = 1 << 10
+// internMinSize is a fresh table's slot count; growth doubles it. The
+// parallel builder keeps 64 shard tables, so the first size is kept small.
+const internMinSize = 1 << 6
 
 // lookup returns the node interned under (h, k), or nil.
 func (t *internTableOf[T]) lookup(h uint64, k status.MapKey) *T {

@@ -53,8 +53,12 @@ type sharedNode struct {
 	vec []int64
 }
 
-// vecChunk is the vector slab chunk size, in int64s.
-const vecChunk = 1 << 15
+// Vector slab chunks grow geometrically from vecChunkMin to vecChunk
+// int64s, like the node slab's chunks.
+const (
+	vecChunkMin = 1 << 9
+	vecChunk    = 1 << 15
+)
 
 // vecSlab bulk-allocates tally vectors. Like nodeSlabOf, chunks are
 // never reallocated, so handed-out vectors stay valid until the counter
@@ -65,10 +69,7 @@ type vecSlab struct {
 
 func (s *vecSlab) alloc(stride int) []int64 {
 	if cap(s.buf)-len(s.buf) < stride {
-		n := vecChunk
-		if stride > n {
-			n = stride
-		}
+		n := max(min(2*cap(s.buf), vecChunk), vecChunkMin, stride)
 		s.buf = make([]int64, 0, n)
 	}
 	v := s.buf[len(s.buf) : len(s.buf)+stride : len(s.buf)+stride]

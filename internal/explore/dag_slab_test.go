@@ -1,0 +1,88 @@
+package explore
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/bitset"
+	"repro/internal/brandeis"
+	"repro/internal/status"
+)
+
+// TestNodeSlabGrowthKeepsPointers: chunks grow 64, 128, … up to
+// dagChunk and then stay there; every handed-out pointer stays valid
+// across the growth, and the chunks list the nodes in creation order.
+func TestNodeSlabGrowthKeepsPointers(t *testing.T) {
+	var s nodeSlabOf[int64]
+	const n = 3*dagChunk + 77
+	ptrs := make([]*int64, n)
+	for i := range ptrs {
+		ptrs[i] = s.alloc()
+		*ptrs[i] = int64(i)
+	}
+	for i, p := range ptrs {
+		if *p != int64(i) {
+			t.Fatalf("node %d reads %d after growth", i, *p)
+		}
+	}
+	want, i := dagChunkMin, 0
+	for k, c := range s.chunks {
+		if cap(c) != want {
+			t.Errorf("chunk %d has capacity %d, want %d", k, cap(c), want)
+		}
+		want = min(2*want, dagChunk)
+		for j := range c {
+			if &c[j] != ptrs[i] {
+				t.Fatalf("chunk %d slot %d is not node %d", k, j, i)
+			}
+			i++
+		}
+	}
+	if i != n {
+		t.Errorf("chunks hold %d nodes, want %d", i, n)
+	}
+}
+
+// TestSweepVisitsEveryNodeOnce: the counting sweep over a builder's slab
+// and its workers' slabs, each spanning several growing chunks, charges
+// every node exactly once.
+func TestSweepVisitsEveryNodeOnce(t *testing.T) {
+	fill := func(s *nodeSlab, n int) {
+		for i := 0; i < n; i++ {
+			nd := s.alloc()
+			nd.class, nd.prefix = classDeadline, 1
+		}
+	}
+	b := &dagBuilder{}
+	fill(&b.slab, dagChunkMin+2*dagChunkMin+5)
+	var w1, w2 nodeSlab
+	fill(&w1, 1)
+	fill(&w2, 1000)
+	b.moreSlabs = []*nodeSlab{&w1, &w2}
+	b.sweep()
+	if want := int64(dagChunkMin + 2*dagChunkMin + 5 + 1 + 1000); b.paths != want {
+		t.Errorf("sweep counted %d paths, want %d (one per node)", b.paths, want)
+	}
+}
+
+// TestSmallDAGQueryAllocation: a Brandeis-sized countOnly query interns
+// a handful of statuses, so the builder's storage starts small instead
+// of zeroing a full 8192-node chunk.
+func TestSmallDAGQueryAllocation(t *testing.T) {
+	cat := brandeis.Catalog()
+	start := status.New(cat, brandeis.StartForSemesters(3), bitset.New(cat.Len()))
+	opt := Options{MaxPerTerm: brandeis.MaxPerTerm, Substrate: SubstrateDAG}
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := DeadlineCount(cat, start, brandeis.EndTerm(), opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > 64<<10 {
+		t.Errorf("small DAG count allocated %d bytes, want ≤ 64 KiB", best)
+	}
+}

@@ -65,8 +65,7 @@ func (c Course) String() string {
 // through Parse. Unquoted IDs are a single word, or the dept + number pair
 // the parser's word-merging rule reassembles ("COSI 11A").
 func needsQuote(id string) bool {
-	if strings.ContainsAny(id, "()\",;&|") || strings.EqualFold(id, "and") ||
-		strings.EqualFold(id, "or") || strings.EqualFold(id, "true") || strings.EqualFold(id, "none") {
+	if strings.ContainsAny(id, "()\",;&|") || isKeyword(id) {
 		return true
 	}
 	// Unquoted words must consist solely of the lexer's word runes, or
@@ -81,10 +80,22 @@ func needsQuote(id string) bool {
 	case 1:
 		return words[0] != id // leading/trailing space
 	case 2:
-		return id != words[0]+" "+words[1] || !isAlpha(words[0]) || !hasDigit(words[1])
+		// A leading keyword ("And 1") would re-lex as an operator.
+		return id != words[0]+" "+words[1] || !isAlpha(words[0]) || isKeyword(words[0]) || !hasDigit(words[1])
 	default:
 		return true
 	}
+}
+
+// isKeyword reports whether the lexer reads word as an operator or the
+// constant true rather than a course word.
+func isKeyword(word string) bool {
+	for _, k := range [...]string{"and", "or", "true", "none"} {
+		if strings.EqualFold(word, k) {
+			return true
+		}
+	}
+	return false
 }
 
 func (c Course) walk(fn func(Expr)) { fn(c) }

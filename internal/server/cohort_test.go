@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/cohort"
+	"repro/internal/term"
 )
 
 // cohortLines splits a cohort NDJSON response into member records and
@@ -121,6 +123,51 @@ func TestCohortStreamsRecordsAndSummary(t *testing.T) {
 	_, sum2 := cohortLines(t, second)
 	if sum2.Coalesced != sum2.Units {
 		t.Errorf("second identical run coalesced %d of %d units, want all", sum2.Coalesced, sum2.Units)
+	}
+}
+
+// Synthesis without query.maxPerTerm is unbounded per semester, like
+// every other cohort and explore path: the job streams members whose
+// counts equal those of the same positions sent explicitly, instead of
+// failing with "no goal-reaching walk".
+func TestCohortSynthesizeUnboundedMaxPerTerm(t *testing.T) {
+	_, ts := newV1Server(t)
+	const tail = `"query":{"start":"Fall 2013","end":"Fall 2015"},"goal":{"courses":["COSI 21A","COSI 29A"]}}`
+	resp, body := post(t, ts, "/api/v1/cohort", `{"synthesize":{"n":8,"seed":4},`+tail)
+	if resp.StatusCode != 200 {
+		t.Fatalf("synthesized cohort: %d %s", resp.StatusCode, body)
+	}
+	synth, sum := cohortLines(t, body)
+	if len(synth) != 8 || sum.Errors != 0 {
+		t.Fatalf("members = %d, errors = %d: %s", len(synth), sum.Errors, body)
+	}
+	// Replay the same positions as explicit members.
+	nav, _ := coursenav.Brandeis()
+	goal, err := nav.GoalCourses("COSI 21A", "COSI 29A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := nav.Catalog().Calendar()
+	start, _ := term.Parse(cal, "Fall 2013")
+	end, _ := term.Parse(cal, "Fall 2015")
+	ms, err := cohort.Synthesize(nav.Catalog(), goal.Inner(), start, end, 0, 8, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := json.Marshal(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body = post(t, ts, "/api/v1/cohort", `{"members":`+string(explicit)+`,`+tail)
+	if resp.StatusCode != 200 {
+		t.Fatalf("explicit cohort: %d %s", resp.StatusCode, body)
+	}
+	want, _ := cohortLines(t, body)
+	for i := range synth {
+		if synth[i].Student != want[i].Student || synth[i].GoalPaths != want[i].GoalPaths {
+			t.Errorf("member %d: synthesized %s with %d goal paths, explicit %s with %d",
+				i, synth[i].Student, synth[i].GoalPaths, want[i].Student, want[i].GoalPaths)
+		}
 	}
 }
 

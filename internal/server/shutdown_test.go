@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,7 +29,14 @@ func TestShutdownUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: s}
+	// Count requests the server has started reading (a keep-alive reuse
+	// counts again), so the drain starts only once the whole burst is in.
+	var started atomic.Int32
+	hs := &http.Server{Handler: s, ConnState: func(_ net.Conn, st http.ConnState) {
+		if st == http.StateActive {
+			started.Add(1)
+		}
+	}}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- hs.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
@@ -67,11 +75,9 @@ func TestShutdownUnderLoad(t *testing.T) {
 			results <- reply{status: resp.StatusCode, body: string(body), stream: stream}
 		}(stream)
 	}
-	// Let the burst reach the server before the drain starts.
-	waitFor(t, 2*time.Second, func() bool {
-		snap := s.adm().Snapshot()
-		return snap.InFlight > 0 || snap.Waiters > 0
-	}, "the burst to be in flight")
+	// Let the burst reach the server before the drain starts: a request
+	// still dialling when the listener closes is refused, not drained.
+	waitFor(t, 2*time.Second, func() bool { return started.Load() >= burst }, "the burst to reach the server")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

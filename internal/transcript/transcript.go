@@ -16,8 +16,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bitset"
@@ -152,7 +153,8 @@ func Generate(cat *catalog.Catalog, goal degree.Goal, start, end term.Term, maxP
 // generator consumes rng in a fixed order, so an equal-state rng yields
 // identical transcripts, and sequential calls sharing one rng form a
 // single deterministic stream (the second call continues where the first
-// stopped). rng must not be shared concurrently.
+// stopped). rng must not be shared concurrently. maxPerTerm ≤ 0 leaves
+// the per-semester election count unbounded, as in Replay.
 func GenerateRand(cat *catalog.Catalog, goal degree.Goal, start, end term.Term, maxPerTerm, n int, rng *rand.Rand) ([]Transcript, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("transcript: n must be positive")
@@ -160,33 +162,73 @@ func GenerateRand(cat *catalog.Catalog, goal degree.Goal, start, end term.Term, 
 	if rng == nil {
 		return nil, fmt.Errorf("transcript: nil rng")
 	}
-	pruners := explore.PaperPruners(cat, goal, maxPerTerm)
+	w := &walker{
+		cat:      cat,
+		goal:     goal,
+		relevant: goal.Relevant(),
+		end:      end,
+		m:        maxPerTerm,
+		pruners:  explore.PaperPruners(cat, goal, maxPerTerm),
+		rng:      rng,
+		sel:      bitset.New(cat.Len()),
+		levels:   make([]level, max(end.Sub(start), 0)),
+	}
 	out := make([]Transcript, 0, n)
 	for i := 0; i < n; i++ {
-		var entries []Entry
-		x := bitset.New(cat.Len())
-		if !walk(cat, goal, status.New(cat, start, x), end, maxPerTerm, pruners, rng, &entries) {
+		w.entries = w.entries[:0]
+		if !w.walk(status.New(cat, start, bitset.New(cat.Len()))) {
 			return nil, fmt.Errorf("transcript: no goal-reaching walk from %v to %v", start, end)
 		}
+		entries := make([]Entry, len(w.entries))
+		copy(entries, w.entries)
 		out = append(out, Transcript{Student: fmt.Sprintf("S%03d", i+1), Entries: entries})
 	}
 	return out, nil
 }
 
-// walk extends entries with a goal-reaching suffix from st; it returns
+// candidateTries is how many random selections walk samples per status.
+const candidateTries = 48
+
+// walker carries one GenerateRand call's inputs and the buffers its walks
+// reuse; walks run one after another, so one walker serves them all.
+type walker struct {
+	cat      *catalog.Catalog
+	goal     degree.Goal
+	relevant bitset.Set
+	end      term.Term
+	m        int
+	pruners  []explore.Pruner
+	rng      *rand.Rand
+
+	entries []Entry    // the walk so far; entries[d] was elected at depth d
+	perm    []int      // one try's permutation of option positions
+	rel     []bool     // rel[p]: option position p is goal-relevant
+	mask    []uint64   // one try's selection, as a mask over option positions
+	sel     bitset.Set // the descended candidate's selection, as courses
+	levels  []level    // per-depth state that must survive the descent
+}
+
+// level is one walk depth's option list and distinct candidate masks
+// (mask-word stride, in first-drawn order).
+type level struct {
+	options []int
+	cands   []uint64
+}
+
+// walk extends w.entries with a goal-reaching suffix from st; it returns
 // false when none exists below this node (triggering backtracking above).
 // The goal-driven pruning strategies (admissible, so they never cut a
 // goal-reaching walk) keep the backtracking tractable in tight windows.
-func walk(cat *catalog.Catalog, goal degree.Goal, st status.Status, end term.Term, m int, pruners []explore.Pruner, rng *rand.Rand, entries *[]Entry) bool {
-	if goal.Satisfied(st.Completed) {
+func (w *walker) walk(st status.Status) bool {
+	if w.goal.Satisfied(st.Completed) {
 		return true
 	}
-	if !st.Term.Before(end) {
+	if !st.Term.Before(w.end) {
 		return false
 	}
 	minTake := 0
-	for _, p := range pruners {
-		prune, mt := p.Check(st, end)
+	for _, p := range w.pruners {
+		prune, mt := p.Check(st, w.end)
 		if prune {
 			return false
 		}
@@ -194,73 +236,117 @@ func walk(cat *catalog.Catalog, goal degree.Goal, st status.Status, end term.Ter
 			minTake = mt
 		}
 	}
+	depth := len(w.entries)
+	lv := &w.levels[depth]
+	lv.options = lv.options[:0]
+	st.Options.ForEach(func(ci int) { lv.options = append(lv.options, ci) })
+	n := len(lv.options)
+	if n == 0 {
+		return w.descend(st, nil) // semester off
+	}
 	// Candidate selections: subsets of the option set sized within
 	// [max(minTake,1), m], shuffled, goal-relevant-heavy first. Enumerating
 	// all subsets would be exponential; sampling a bounded number of random
 	// subsets suffices because backtracking covers failures.
-	options := st.Options.Members()
-	var candidates [][]int
-	if len(options) > 0 {
-		maxSize := minInt(m, len(options))
-		loSize := maxInt(1, minTake)
-		if loSize > maxSize {
-			return false // cannot take enough courses this semester
-		}
-		relevant := goal.Relevant()
-		seen := map[string]bool{}
-		for try := 0; try < 48; try++ {
-			size := loSize + rng.Intn(maxSize-loSize+1)
-			perm := rng.Perm(len(options))
-			// Bias: move goal-relevant courses to the front, then cut to
-			// size, so most samples make progress.
-			sort.SliceStable(perm, func(a, b int) bool {
-				ra := relevant.Contains(options[perm[a]])
-				rb := relevant.Contains(options[perm[b]])
-				return ra && !rb
-			})
-			sel := append([]int(nil), perm[:size]...)
-			ids := make([]int, len(sel))
-			for j, pi := range sel {
-				ids[j] = options[pi]
-			}
-			sort.Ints(ids)
-			key := fmt.Sprint(ids)
-			if !seen[key] {
-				seen[key] = true
-				candidates = append(candidates, ids)
-			}
-		}
-	} else {
-		candidates = append(candidates, nil) // semester off
+	maxSize := n
+	if w.m > 0 && w.m < n {
+		maxSize = w.m
 	}
-	for _, ids := range candidates {
-		w := bitset.New(cat.Len())
-		courses := make([]string, len(ids))
-		for j, ci := range ids {
-			w.Add(ci)
-			courses[j] = cat.ID(ci)
-		}
-		*entries = append(*entries, Entry{Term: st.Term, Courses: courses})
-		if walk(cat, goal, st.Advance(cat, w), end, m, pruners, rng, entries) {
+	loSize := max(1, minTake)
+	if loSize > maxSize {
+		return false // cannot take enough courses this semester
+	}
+	w.sample(lv, loSize, maxSize)
+	words := (n + 63) / 64
+	for c := 0; c < len(lv.cands); c += words {
+		if w.descend(st, lv.cands[c:c+words]) {
 			return true
 		}
-		*entries = (*entries)[:len(*entries)-1]
 	}
 	return false
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// sample fills lv.cands with the distinct candidates of candidateTries
+// random tries. The draws are part of the seeding contract: each try
+// draws rng.Intn for the size, then the n draws of rng.Intn(i+1) that
+// rng.Perm(n) makes, here into a reused buffer. Moving goal-relevant
+// positions to the front (a stable partition) and cutting to size makes
+// most samples progress toward the goal.
+func (w *walker) sample(lv *level, loSize, maxSize int) {
+	n := len(lv.options)
+	words := (n + 63) / 64
+	if cap(w.perm) < n {
+		w.perm, w.rel = make([]int, n), make([]bool, n)
 	}
-	return b
+	perm, rel := w.perm[:n], w.rel[:n]
+	for p, ci := range lv.options {
+		rel[p] = w.relevant.Contains(ci)
+	}
+	if cap(w.mask) < words {
+		w.mask = make([]uint64, words)
+	}
+	w.mask = w.mask[:words]
+	lv.cands = lv.cands[:0]
+	for try := 0; try < candidateTries; try++ {
+		size := loSize + w.rng.Intn(maxSize-loSize+1)
+		for i := 0; i < n; i++ {
+			j := w.rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
+		clear(w.mask)
+		k := 0
+		for _, want := range [2]bool{true, false} {
+			for _, p := range perm {
+				if k == size {
+					break
+				}
+				if rel[p] == want {
+					w.mask[p/64] |= 1 << (p % 64)
+					k++
+				}
+			}
+		}
+		if !hasMask(lv.cands, w.mask) {
+			lv.cands = append(lv.cands, w.mask...)
+		}
+	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// hasMask reports whether cands (stride len(mask)) already holds mask.
+func hasMask(cands, mask []uint64) bool {
+	for c := 0; c < len(cands); c += len(mask) {
+		if slices.Equal(cands[c:c+len(mask)], mask) {
+			return true
+		}
 	}
-	return b
+	return false
+}
+
+// descend elects the courses at the mask's option positions (none for a
+// semester off), records the entry and walks on from the next semester,
+// undoing the entry when no goal-reaching suffix exists.
+func (w *walker) descend(st status.Status, mask []uint64) bool {
+	options := w.levels[len(w.entries)].options
+	k := 0
+	for _, word := range mask {
+		k += bits.OnesCount64(word)
+	}
+	courses := make([]string, 0, k)
+	w.sel.Clear()
+	for wi, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			ci := options[wi*64+bits.TrailingZeros64(word)]
+			w.sel.Add(ci)
+			courses = append(courses, w.cat.ID(ci))
+		}
+	}
+	w.entries = append(w.entries, Entry{Term: st.Term, Courses: courses})
+	if w.walk(st.Advance(w.cat, w.sel)) {
+		return true
+	}
+	w.entries = w.entries[:len(w.entries)-1]
+	return false
 }
 
 // Write serialises transcripts in the dump format Parse reads:

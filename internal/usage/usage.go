@@ -93,45 +93,210 @@ type Event struct {
 	Status int `json:"status"`
 }
 
-// Log is a fixed-capacity, concurrency-safe event ring.
+// Log is a bounded, concurrency-safe event ring. It stores each event
+// as a compact slot, in blocks of ringBlock slots allocated as events
+// arrive, so an idle server holds almost nothing, growth never copies,
+// and a full ring costs ~150 bytes per event instead of an Event's ~260.
 type Log struct {
-	mu     sync.Mutex
-	events []Event
-	next   int
-	filled bool
+	mu       sync.Mutex
+	capacity int
+	blocks   [][]slot
+	n        int // events held, ≤ capacity
+	next     int // once full, the oldest slot (the next to overwrite)
+}
+
+// ringBlock is the ring's allocation unit, in slots (~38 KB).
+const ringBlock = 256
+
+func (l *Log) at(i int) *slot { return &l.blocks[i/ringBlock][i%ringBlock] }
+
+// slot is one recorded Event in compact form: the Stopped, Reload, Cache,
+// Admission and Breaker strings become one-byte codes (enumNames) and
+// the booleans bit flags. An event that does not fit — an enum value
+// outside enumNames, a status beyond int16 — is kept whole in full.
+type slot struct {
+	when                     time.Time
+	endpoint, tenant, window string
+	paths, streamedPaths     int64
+	dagNodes                 int64
+	cohortMembers            int64
+	cohortCoalesced          int64
+	cohortSharedHits         int64
+	cohortDPReused           int64
+	duration                 time.Duration
+	full                     *Event
+	status                   int16
+	stopped, reload, cache   uint8
+	admission, breaker       uint8
+	flags                    uint8
+}
+
+const (
+	flagStreamed uint8 = 1 << iota
+	flagWriteAborted
+	flagDegraded
+	flagDAG
+	flagCohort
+	flagCohortCancelled
+)
+
+// enumNames lists every documented value of Event's enum fields; a
+// slot stores a value as its index here (0, the empty string, means
+// unset).
+var enumNames = [...]string{
+	"",
+	"canceled", "deadline", "max-nodes", "max-paths", "sink", // Stopped
+	"applied", "rejected", // Reload
+	"hit", "coalesced", "miss", "stale", // Cache
+	"queued", "shed_costly", "shed_queue_full", "queue_timeout", // Admission
+	"tripped", "open", // Breaker
+}
+
+// enumCode returns s's index in enumNames.
+func enumCode(s string) (uint8, bool) {
+	switch s {
+	case "":
+		return 0, true
+	case "canceled":
+		return 1, true
+	case "deadline":
+		return 2, true
+	case "max-nodes":
+		return 3, true
+	case "max-paths":
+		return 4, true
+	case "sink":
+		return 5, true
+	case "applied":
+		return 6, true
+	case "rejected":
+		return 7, true
+	case "hit":
+		return 8, true
+	case "coalesced":
+		return 9, true
+	case "miss":
+		return 10, true
+	case "stale":
+		return 11, true
+	case "queued":
+		return 12, true
+	case "shed_costly":
+		return 13, true
+	case "shed_queue_full":
+		return 14, true
+	case "queue_timeout":
+		return 15, true
+	case "tripped":
+		return 16, true
+	case "open":
+		return 17, true
+	}
+	return 0, false
+}
+
+func compact(e Event) slot {
+	s := slot{
+		when:             e.When,
+		endpoint:         e.Endpoint,
+		tenant:           e.Tenant,
+		window:           e.Window,
+		paths:            e.Paths,
+		streamedPaths:    e.StreamedPaths,
+		dagNodes:         e.DAGNodes,
+		cohortMembers:    e.CohortMembers,
+		cohortCoalesced:  e.CohortCoalesced,
+		cohortSharedHits: e.CohortSharedHits,
+		cohortDPReused:   e.CohortDPReused,
+		duration:         e.Duration,
+		status:           int16(e.Status),
+		flags: flag(e.Streamed, flagStreamed) | flag(e.WriteAborted, flagWriteAborted) |
+			flag(e.Degraded, flagDegraded) | flag(e.DAG, flagDAG) |
+			flag(e.Cohort, flagCohort) | flag(e.CohortCancelled, flagCohortCancelled),
+	}
+	var ok [5]bool
+	s.stopped, ok[0] = enumCode(e.Stopped)
+	s.reload, ok[1] = enumCode(e.Reload)
+	s.cache, ok[2] = enumCode(e.Cache)
+	s.admission, ok[3] = enumCode(e.Admission)
+	s.breaker, ok[4] = enumCode(e.Breaker)
+	if ok != [5]bool{true, true, true, true, true} || int(s.status) != e.Status {
+		full := e // a copy, so only this rare path moves the event to the heap
+		return slot{full: &full}
+	}
+	return s
+}
+
+func flag(on bool, f uint8) uint8 {
+	if on {
+		return f
+	}
+	return 0
+}
+
+func (s *slot) event() Event {
+	if s.full != nil {
+		return *s.full
+	}
+	return Event{
+		When:             s.when,
+		Endpoint:         s.endpoint,
+		Tenant:           s.tenant,
+		Window:           s.window,
+		Paths:            s.paths,
+		Stopped:          enumNames[s.stopped],
+		Reload:           enumNames[s.reload],
+		Streamed:         s.flags&flagStreamed != 0,
+		StreamedPaths:    s.streamedPaths,
+		WriteAborted:     s.flags&flagWriteAborted != 0,
+		Cache:            enumNames[s.cache],
+		Admission:        enumNames[s.admission],
+		Breaker:          enumNames[s.breaker],
+		Degraded:         s.flags&flagDegraded != 0,
+		DAG:              s.flags&flagDAG != 0,
+		DAGNodes:         s.dagNodes,
+		Cohort:           s.flags&flagCohort != 0,
+		CohortMembers:    s.cohortMembers,
+		CohortCoalesced:  s.cohortCoalesced,
+		CohortCancelled:  s.flags&flagCohortCancelled != 0,
+		CohortSharedHits: s.cohortSharedHits,
+		CohortDPReused:   s.cohortDPReused,
+		Duration:         s.duration,
+		Status:           int(s.status),
+	}
 }
 
 // NewLog returns a ring holding the most recent capacity events
-// (minimum 1).
+// (minimum 1). Storage is allocated as events arrive.
 func NewLog(capacity int) *Log {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Log{events: make([]Event, capacity)}
+	return &Log{capacity: max(capacity, 1)}
 }
 
 // Record appends an event, evicting the oldest when full.
 func (l *Log) Record(e Event) {
+	s := compact(e)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events[l.next] = e
-	l.next++
-	if l.next == len(l.events) {
-		l.next = 0
-		l.filled = true
+	if l.n < l.capacity {
+		if l.n%ringBlock == 0 {
+			l.blocks = append(l.blocks, make([]slot, min(ringBlock, l.capacity-l.n)))
+		}
+		*l.at(l.n) = s
+		l.n++
+		return
 	}
+	*l.at(l.next) = s
+	l.next = (l.next + 1) % l.n
 }
 
 // Events returns the recorded events, oldest first.
 func (l *Log) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.filled {
-		return append([]Event(nil), l.events[:l.next]...)
+	out := make([]Event, l.n)
+	for i := range out {
+		out[i] = l.at((l.next + i) % l.n).event()
 	}
-	out := make([]Event, 0, len(l.events))
-	out = append(out, l.events[l.next:]...)
-	out = append(out, l.events[:l.next]...)
 	return out
 }
 
@@ -139,10 +304,7 @@ func (l *Log) Events() []Event {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.filled {
-		return len(l.events)
-	}
-	return l.next
+	return l.n
 }
 
 // EndpointStats aggregates one endpoint's events.
