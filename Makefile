@@ -19,10 +19,17 @@ routes-guard:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: vet always; staticcheck when installed (CI installs
-# it — see .github/workflows/ci.yml; locally it is optional and skipped
-# with a note rather than failing the build).
+# Static analysis: vet and gofmt always (any file gofmt would rewrite
+# fails the gate); staticcheck when installed (CI installs it — see
+# .github/workflows/ci.yml; locally it is optional and skipped with a
+# note rather than failing the build).
 lint: vet
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists files that need formatting:"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -63,7 +70,9 @@ cohort-short:
 	$(GO) test -race -timeout 120s -run 'Cohort|WhatIf' ./internal/server/
 
 # Bounded fuzz smoke over the ingestion parsers (grammar round-trip,
-# prerequisite extraction, lenient/strict differential). go test allows
+# prerequisite extraction, lenient/strict differential, and the
+# differential contracts holding the parsers' fast paths to their
+# reference regexps). go test allows
 # one -fuzz target per invocation, hence one line per target. The
 # minimize budget is capped in execs: the default (60s per interesting
 # input) can stall a 5s smoke run for a minute on a fresh build cache.
@@ -71,6 +80,9 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzParse$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/expr/
 	$(GO) test -run '^$$' -fuzz 'FuzzParsePrereq$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/registrar/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCatalogDumpLenient$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/registrar/
+	$(GO) test -run '^$$' -fuzz 'FuzzNormalizeCourseID$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/registrar/
+	$(GO) test -run '^$$' -fuzz 'FuzzParsePrereqDifferential$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/registrar/
+	$(GO) test -run '^$$' -fuzz 'FuzzTermParse$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/term/
 
 # Full benchmark run with allocation stats (slow; EXPERIMENTS.md numbers).
 bench:
@@ -86,9 +98,9 @@ bench-smoke:
 # installed (CI installs it), a human-readable delta is printed too.
 # Keep the -bench pattern and -benchtime in sync with bench-baseline —
 # allocs/op amortisation depends on the iteration count.
-BENCH_GATE = GoalStream$$|GoalMaterialize$$|FrontierHeapGeneric$$|FrontierHeapBoxed$$|ExploreCold$$|ExploreWarm$$|ExploreCoalesced$$|CohortReplanCold$$|CohortReplanWarm$$|CohortSharedCold$$|CohortSharedWarm$$|DAGCount$$|DAGCountSmall$$|DAGWhatIf$$|MultiHorizonProbe$$|TranscriptGeneration$$
+BENCH_GATE = GoalStream$$|GoalMaterialize$$|FrontierHeapGeneric$$|FrontierHeapBoxed$$|ExploreCold$$|ExploreWarm$$|ExploreCoalesced$$|CohortReplanCold$$|CohortReplanWarm$$|CohortSharedCold$$|CohortSharedWarm$$|DAGCount$$|DAGCountSmall$$|DAGWhatIf$$|MultiHorizonProbe$$|TranscriptGeneration$$|RegistrarLoad$$|TermParse$$|CacheInvalidate$$
 BENCH_DIR  = .bench
-BENCH_RUN  = $(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 20x . ./internal/explore/ ./internal/server/
+BENCH_RUN  = $(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 20x . ./internal/explore/ ./internal/server/ ./internal/term/ ./internal/resultcache/
 
 bench-regress:
 	@mkdir -p $(BENCH_DIR)

@@ -11,10 +11,13 @@
 package coursenav_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
 
+	"repro"
 	"repro/internal/bitset"
 	"repro/internal/brandeis"
 	"repro/internal/explore"
@@ -383,5 +386,45 @@ func BenchmarkAblationParallelMergeCount(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// --- Ingestion: registrar dump → Navigator (paper §3, Figure 2) -------
+
+// benchDump renders the embedded catalog as registrar text, one block per
+// course with the prerequisite in its description plus one "COURSE | TERM"
+// schedule record per offering — the shape a hot reload parses.
+func benchDump() (catalogDump, schedule []byte) {
+	nav, _ := coursenav.Brandeis()
+	var cat, sched bytes.Buffer
+	for _, c := range nav.Courses() {
+		fmt.Fprintf(&cat, "course: %s\ntitle: %s\ndescription: %s.", c.ID, c.Title, c.Title)
+		if c.Prereq != "" {
+			fmt.Fprintf(&cat, " Prerequisite: %s.", c.Prereq)
+		}
+		fmt.Fprintf(&cat, "\nworkload: %s\n\n", strconv.FormatFloat(c.Workload, 'g', -1, 64))
+		for _, t := range c.Offered {
+			fmt.Fprintf(&sched, "%s | %s\n", c.ID, t)
+		}
+	}
+	return cat.Bytes(), sched.Bytes()
+}
+
+// BenchmarkRegistrarLoad is one catalog reload's parse: the Prerequisite
+// and Schedule parsers over the rendered 38-course dump, then catalog
+// construction. A per-call regexp or replacer compile shows up here as
+// thousands of extra allocs/op.
+func BenchmarkRegistrarLoad(b *testing.B) {
+	cat, sched := benchDump()
+	first, last := brandeis.FirstTerm().Label(), brandeis.EndTerm().Label()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		nav, err := coursenav.NewFromRegistrarDump(bytes.NewReader(cat), bytes.NewReader(sched), first, last)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if nav.NumCourses() != benchCat.Len() {
+			b.Fatalf("courses = %d, want %d", nav.NumCourses(), benchCat.Len())
+		}
 	}
 }

@@ -57,8 +57,13 @@ type Entry struct {
 	Raw string `json:"raw"`
 }
 
-// benchLine matches `go test -bench -benchmem` result lines.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$`)
+// benchLine matches `go test -bench -benchmem` result lines; bytesCol
+// and allocsCol match the -benchmem columns in the rest of such a line.
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$`)
+	bytesCol  = regexp.MustCompile(`(\d+) B/op`)
+	allocsCol = regexp.MustCompile(`(\d+) allocs/op`)
+)
 
 func parseBench(line string) (name string, e Entry, ok bool) {
 	m := benchLine.FindStringSubmatch(line)
@@ -68,10 +73,10 @@ func parseBench(line string) (name string, e Entry, ok bool) {
 	e.Raw = line
 	e.NsPerOp, _ = strconv.ParseFloat(m[2], 64)
 	rest := m[3]
-	if bm := regexp.MustCompile(`(\d+) B/op`).FindStringSubmatch(rest); bm != nil {
+	if bm := bytesCol.FindStringSubmatch(rest); bm != nil {
 		e.BytesPerOp, _ = strconv.ParseInt(bm[1], 10, 64)
 	}
-	if am := regexp.MustCompile(`(\d+) allocs/op`).FindStringSubmatch(rest); am != nil {
+	if am := allocsCol.FindStringSubmatch(rest); am != nil {
 		e.AllocsPerOp, _ = strconv.ParseInt(am[1], 10, 64)
 	}
 	return m[1], e, true

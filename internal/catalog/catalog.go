@@ -36,9 +36,9 @@ type Course struct {
 
 // Catalog is an immutable, indexed course catalog. Build one with Builder.
 type Catalog struct {
-	cal      *term.Calendar
-	courses  []Course
-	byID     map[string]int
+	cal     *term.Calendar
+	courses []Course
+	byID    map[string]int
 	// foldID maps a case-folded course ID to its dense index, for
 	// Canonical. IDs whose folded forms collide are left out, so folded
 	// lookup never guesses between distinct courses.

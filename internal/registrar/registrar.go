@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -42,11 +43,81 @@ var courseRef = regexp.MustCompile(`(?i)\b([A-Z]{2,5})\s*(\d{1,3})\s*([A-Z]?)\b`
 // form: "cosi 11a" → "COSI 11A". It returns ok=false when s is not a
 // course reference.
 func NormalizeCourseID(s string) (string, bool) {
-	m := courseRef.FindStringSubmatch(strings.TrimSpace(s))
-	if m == nil || m[0] != strings.TrimSpace(s) {
+	s = strings.TrimSpace(s)
+	if isPlainCourseID(s) {
+		return asciiUpper(s), true
+	}
+	m := courseRef.FindStringSubmatch(s)
+	if m == nil || m[0] != s {
 		return "", false
 	}
 	return strings.ToUpper(m[1]) + " " + m[2] + strings.ToUpper(m[3]), true
+}
+
+// isPlainCourseID reports whether s has the form registrars emit:
+// ASCII LETTERS{2,5}, exactly one space, DIGITS{1,3} and an optional
+// ASCII letter. courseRef matches such an s whole, with the space as its
+// only separator, so its canonical form is s in upper case. Every other
+// form (other whitespace, no space, letters that (?i) folds from outside
+// ASCII such as ſ and K) is left to courseRef.
+func isPlainCourseID(s string) bool {
+	i := 0
+	for i < len(s) && isASCIILetter(s[i]) {
+		i++
+	}
+	if i < 2 || i > 5 || i == len(s) || s[i] != ' ' {
+		return false
+	}
+	i++
+	j := i
+	for j < len(s) && s[j] >= '0' && s[j] <= '9' {
+		j++
+	}
+	if j == i || j-i > 3 {
+		return false
+	}
+	return j == len(s) || (j == len(s)-1 && isASCIILetter(s[j]))
+}
+
+func isASCIILetter(b byte) bool { return b|0x20 >= 'a' && b|0x20 <= 'z' }
+
+// asciiUpper upper-cases an ASCII string, returning s itself when it has
+// no lower-case letters.
+func asciiUpper(s string) string {
+	i := 0
+	for i < len(s) && (s[i] < 'a' || s[i] > 'z') {
+		i++
+	}
+	if i == len(s) {
+		return s
+	}
+	b := []byte(s)
+	for ; i < len(b); i++ {
+		if b[i] >= 'a' && b[i] <= 'z' {
+			b[i] -= 'a' - 'A'
+		}
+	}
+	return string(b)
+}
+
+// mayContainFold reports whether prose can contain word (lower-case
+// ASCII) under (?i) matching. It is false only for all-ASCII prose
+// without word in any letter case; non-ASCII prose may spell word with
+// letters that fold into ASCII (ſ for s, K for k), so it reports true.
+// The Prerequisite and Schedule parsers use it to skip their regexps on
+// descriptions that cannot match.
+func mayContainFold(prose, word string) bool {
+	for i := 0; i < len(prose); i++ {
+		if prose[i] >= utf8.RuneSelf {
+			return true
+		}
+	}
+	for i := 0; i+len(word) <= len(prose); i++ {
+		if strings.EqualFold(prose[i:i+len(word)], word) {
+			return true
+		}
+	}
+	return false
 }
 
 // prereqIntro locates the prerequisite sentence inside course prose.
@@ -62,9 +133,61 @@ var noisePhrases = []string{
 	"recommended",
 }
 
-// danglingConnectives matches connective debris left at either end of the
-// sentence after noise phrases are removed.
-var danglingConnectives = regexp.MustCompile(`(?i)^(?:\s|,|;|\band\b|\bor\b)+|(?:\s|,|;|\band\b|\bor\b)+$`)
+// trimConnectives drops the connective debris noise removal leaves at
+// either end of a sentence ("..., or "): the longest leading run of
+// connectives, and the trailing run that reaches the end of s from the
+// leftmost position it can start at. A connective is one of the regexp
+// `\s|,|;|\band\b|\bor\b` (?i) alternatives; no connective starts inside
+// another, so one forward scan finds both runs.
+func trimConnectives(s string) string {
+	start := 0
+	for n := connectiveAt(s, 0); n > 0; n = connectiveAt(s, start) {
+		start += n
+	}
+	end := -1 // start of the run being scanned; -1 outside one
+	for i := start; i < len(s); {
+		if n := connectiveAt(s, i); n > 0 {
+			if end < 0 {
+				end = i
+			}
+			i += n
+			continue
+		}
+		end = -1
+		i++
+	}
+	if end < 0 {
+		end = len(s)
+	}
+	return s[start:end]
+}
+
+// connectiveAt returns the length of the connective at s[i:], 0 if none:
+// one of \t \n \f \r space , ; or the word "and" or "or" in any letter
+// case with an ASCII word boundary on each side.
+func connectiveAt(s string, i int) int {
+	if i >= len(s) {
+		return 0
+	}
+	switch s[i] {
+	case '\t', '\n', '\f', '\r', ' ', ',', ';':
+		return 1
+	}
+	if i > 0 && isWordByte(s[i-1]) {
+		return 0
+	}
+	for _, w := range [...]string{"and", "or"} {
+		j := i + len(w)
+		if j <= len(s) && strings.EqualFold(s[i:j], w) && (j == len(s) || !isWordByte(s[j])) {
+			return len(w)
+		}
+	}
+	return 0
+}
+
+// isWordByte reports whether b is an ASCII word character, the class a
+// regexp \b tests; bytes of non-ASCII runes are never word characters.
+func isWordByte(b byte) bool { return isASCIILetter(b) || b >= '0' && b <= '9' || b == '_' }
 
 // reservedWords are expression-grammar keywords that the reference
 // matcher must never treat as department codes.
@@ -72,6 +195,12 @@ var reservedWords = map[string]bool{"and": true, "or": true, "true": true, "none
 
 // nonePhrases mean "no prerequisite".
 var nonePhrases = map[string]bool{"": true, "none": true, "n/a": true, "open to all": true}
+
+// quotesToSpace drops the quote characters from a prerequisite sentence.
+var quotesToSpace = strings.NewReplacer(`"`, " ", "“", " ", "”", " ")
+
+// fillerWords commonly precede references and are dropped before parsing.
+var fillerWords = []string{"courses", "course", "both", "either", "completion of", "a grade of c- or higher in"}
 
 // ParsePrereq extracts the prerequisite condition from free-form course
 // prose. It finds the sentence introduced by "Prerequisite(s):", strips
@@ -82,6 +211,9 @@ var nonePhrases = map[string]bool{"": true, "none": true, "n/a": true, "open to 
 // no-prerequisite tautology. A failure is reported as *PrereqError, which
 // carries the byte offset and text of the offending fragment.
 func ParsePrereq(prose string) (expr.Expr, error) {
+	if !mayContainFold(prose, "prerequisite") {
+		return expr.True{}, nil
+	}
 	loc := prereqIntro.FindStringIndex(prose)
 	if loc == nil {
 		return expr.True{}, nil
@@ -95,7 +227,9 @@ func ParsePrereq(prose string) (expr.Expr, error) {
 	s := strings.ToLower(sentence)
 	// Typographic quotes in prose would collide with the expression
 	// grammar's quoting; registrar references never need them.
-	s = strings.NewReplacer(`"`, " ", "“", " ", "”", " ").Replace(s)
+	if strings.Contains(s, `"`) || strings.Contains(s, "“") || strings.Contains(s, "”") {
+		s = quotesToSpace.Replace(s)
+	}
 	for _, noise := range noisePhrases {
 		s = strings.ReplaceAll(s, noise, " ")
 	}
@@ -103,25 +237,12 @@ func ParsePrereq(prose string) (expr.Expr, error) {
 	if nonePhrases[strings.Trim(s, " .")] {
 		return expr.True{}, nil
 	}
-	// Canonicalise references so the expr parser sees clean two-word IDs.
-	// Connectives followed by digits ("or 2 semesters") are not references.
-	s = courseRef.ReplaceAllStringFunc(s, func(ref string) string {
-		m := courseRef.FindStringSubmatch(ref)
-		if m == nil || reservedWords[strings.ToLower(m[1])] {
-			return ref
-		}
-		id, ok := NormalizeCourseID(ref)
-		if !ok {
-			return ref
-		}
-		return `"` + id + `"`
-	})
+	s = quoteCourseRefs(s)
 	// Drop leftover filler words that commonly precede references.
-	for _, filler := range []string{"courses", "course", "both", "either", "completion of", "a grade of c- or higher in"} {
+	for _, filler := range fillerWords {
 		s = strings.ReplaceAll(s, filler, " ")
 	}
-	// Noise removal can leave dangling connectives ("..., or "): trim them.
-	s = danglingConnectives.ReplaceAllString(s, "")
+	s = trimConnectives(s)
 	e, err := expr.Parse(s)
 	if err != nil {
 		pe := &PrereqError{
@@ -138,6 +259,62 @@ func ParsePrereq(prose string) (expr.Expr, error) {
 		return nil, pe
 	}
 	return e, nil
+}
+
+// quoteCourseRefs canonicalises and quotes every course reference in a
+// prerequisite sentence so the expr parser sees clean two-word IDs.
+// Connectives followed by digits ("or 2 semesters") are not references.
+//
+// One courseRef pass finds the references and their parts. A reference's
+// canonical form is defined by matching it alone. One that begins and
+// ends with an ASCII character matches alone exactly as it matched in the
+// sentence, parts included, so its parts are used as found. One that
+// begins or ends with a non-ASCII letter (ſ, which (?i) folds to s) can
+// lose a word boundary alone, so it is re-matched.
+func quoteCourseRefs(s string) string {
+	refs := courseRef.FindAllStringSubmatchIndex(s, -1)
+	if refs == nil {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s) + 2*len(refs))
+	last := 0
+	for _, m := range refs {
+		b.WriteString(s[last:m[0]])
+		last = m[1]
+		ref := s[m[0]:m[1]]
+		if ref[0] >= utf8.RuneSelf || ref[len(ref)-1] >= utf8.RuneSelf {
+			b.WriteString(quoteRefAlone(ref))
+			continue
+		}
+		dept := s[m[2]:m[3]]
+		if reservedWords[strings.ToLower(dept)] {
+			b.WriteString(ref)
+			continue
+		}
+		b.WriteByte('"')
+		b.WriteString(strings.ToUpper(dept))
+		b.WriteByte(' ')
+		b.WriteString(s[m[4]:m[5]])
+		b.WriteString(strings.ToUpper(s[m[6]:m[7]]))
+		b.WriteByte('"')
+	}
+	b.WriteString(s[last:])
+	return b.String()
+}
+
+// quoteRefAlone is quoteCourseRefs' rule for one reference matched on
+// its own.
+func quoteRefAlone(ref string) string {
+	m := courseRef.FindStringSubmatch(ref)
+	if m == nil || reservedWords[strings.ToLower(m[1])] {
+		return ref
+	}
+	id, ok := NormalizeCourseID(ref)
+	if !ok {
+		return ref
+	}
+	return `"` + id + `"`
 }
 
 // ParsePrereqLenient is ParsePrereq in lenient mode: an unparseable
@@ -172,6 +349,9 @@ var offeringPhrase = regexp.MustCompile(`(?i)(?:usually\s+)?offered\s+every\s+(s
 //
 // ok=false means the prose contains no recognised phrase.
 func ParseOfferingPhrase(prose string, first, last term.Term) (offered []term.Term, ok bool) {
+	if !mayContainFold(prose, "offered") {
+		return nil, false
+	}
 	m := offeringPhrase.FindStringSubmatch(prose)
 	if m == nil {
 		return nil, false
@@ -239,21 +419,21 @@ func parseScheduleRecords(r io.Reader, cal *term.Calendar, lenient bool) (map[st
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		parts := strings.SplitN(line, "|", 2)
-		if len(parts) != 2 {
+		course, label, found := strings.Cut(line, "|")
+		if !found {
 			if err := quarantine(lineNo, "", "want \"COURSE | TERM\", got %q", line); err != nil {
 				return nil, diags, err
 			}
 			continue
 		}
-		id, ok := NormalizeCourseID(parts[0])
+		id, ok := NormalizeCourseID(course)
 		if !ok {
-			if err := quarantine(lineNo, "", "bad course reference %q", parts[0]); err != nil {
+			if err := quarantine(lineNo, "", "bad course reference %q", course); err != nil {
 				return nil, diags, err
 			}
 			continue
 		}
-		t, err := term.Parse(cal, parts[1])
+		t, err := term.Parse(cal, label)
 		if err != nil {
 			if err := quarantine(lineNo, id, "%v", err); err != nil {
 				return nil, diags, err

@@ -17,13 +17,14 @@
 // finishes the flight with nil, and followers fall back to computing
 // individually — coalescing is an optimisation, never a correctness gate.
 //
-// Invalidation retains the displaced generation's entries in a stale side
-// table (keyed by request hash alone) for the server's brownout mode:
-// when degraded, a request that misses the live cache may be answered from
-// the previous snapshot's entry, marked stale, instead of being shed. The
-// side table is replaced wholesale on every Invalidate, so it only ever
-// holds the immediately preceding generation — staleness is bounded at one
-// snapshot generation by construction.
+// Invalidation retains the displaced generation's entries for the server's
+// brownout mode: when degraded, a request that misses the live cache may be
+// answered from the previous snapshot's entry, marked stale, instead of
+// being shed. The stale table is simply the previous generation's live map,
+// kept as it stood and looked up under that generation, so Invalidate
+// copies nothing. Every Invalidate replaces it, so it only ever holds the
+// immediately preceding generation — staleness is bounded at one snapshot
+// generation by construction.
 package resultcache
 
 import (
@@ -103,7 +104,10 @@ type Cache struct {
 	byKey   map[Key]*list.Element
 	bytes   int64
 	flights map[Key]*Flight
-	stale   map[[sha256.Size]byte]*Entry // previous generation only
+	// stale is the previous generation's live map, keyed under staleGen;
+	// its elements belong to a list nothing else touches any more.
+	stale    map[Key]*list.Element
+	staleGen uint64
 
 	hits, misses, coalesced, evictions, staleHits atomic.Int64
 }
@@ -238,11 +242,12 @@ func (c *Cache) Stale(k Key) (*Entry, bool) {
 	if k.Gen != c.gen {
 		return nil, false
 	}
-	e, ok := c.stale[k.Hash]
-	if ok {
-		c.staleHits.Add(1)
+	el, ok := c.stale[Key{Gen: c.staleGen, Hash: k.Hash}]
+	if !ok {
+		return nil, false
 	}
-	return e, ok
+	c.staleHits.Add(1)
+	return el.Value.(*node).ent, true
 }
 
 // Invalidate installs a new catalog generation: every cached entry and every
@@ -251,18 +256,15 @@ func (c *Cache) Stale(k Key) (*Entry, bool) {
 // followers that joined before the reload wake normally; the stale entry is
 // rejected by put's generation check.
 //
-// The dropped generation's entries move to the stale side table, replacing
-// whatever it held, so Stale serves at most one generation back.
+// The dropped generation's live map becomes the stale table as it stands,
+// replacing whatever it held, so Stale serves at most one generation back.
+// Nothing is copied: Invalidate costs the same at any cache size.
 func (c *Cache) Invalidate(gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stale, c.staleGen = c.byKey, c.gen
 	c.gen = gen
-	stale := make(map[[sha256.Size]byte]*Entry, len(c.byKey))
-	for k, el := range c.byKey {
-		stale[k.Hash] = el.Value.(*node).ent
-	}
-	c.stale = stale
-	c.ll.Init()
+	c.ll = list.New()
 	c.byKey = map[Key]*list.Element{}
 	c.bytes = 0
 	c.flights = map[Key]*Flight{}

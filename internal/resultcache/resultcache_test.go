@@ -3,6 +3,7 @@ package resultcache
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -198,8 +199,8 @@ func TestWaitHonoursContext(t *testing.T) {
 	}
 }
 
-// Concurrency smoke for the race detector: gets, puts, joins and
-// invalidations interleaving freely.
+// Concurrency smoke for the race detector: gets, puts, joins, stale
+// lookups and invalidations interleaving freely.
 func TestConcurrentMixedUse(t *testing.T) {
 	c := New(4096)
 	var wg sync.WaitGroup
@@ -210,6 +211,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := key(uint64(i%3), fmt.Sprint(i%7))
 				if _, ok := c.Get(k); !ok {
+					c.Stale(k)
 					f, leader := c.Join(k)
 					if leader {
 						c.Finish(k, f, ent("x"))
@@ -310,5 +312,55 @@ func TestStaleMissesUnknownHash(t *testing.T) {
 	c.Invalidate(1)
 	if _, ok := c.Stale(key(1, "never-cached")); ok {
 		t.Error("stale hit for a hash that was never cached")
+	}
+}
+
+// populated returns a cache holding n entries under generation 0 and a
+// reset that reinstalls that live table, so a loop can run Invalidate over
+// the same n entries again and again.
+func populated(n int) (*Cache, func()) {
+	c := New(1 << 30)
+	for i := 0; i < n; i++ {
+		c.Put(key(0, strconv.Itoa(i)), ent("body"))
+	}
+	ll, byKey, bytes := c.ll, c.byKey, c.bytes
+	return c, func() {
+		c.mu.Lock()
+		c.gen, c.ll, c.byKey, c.bytes = 0, ll, byKey, bytes
+		c.mu.Unlock()
+	}
+}
+
+// TestInvalidateCostIndependentOfSize: Invalidate keeps the displaced live
+// map as the stale table instead of copying it, so it allocates no more at
+// 10,000 entries than at 10, and the stale table still serves them all.
+func TestInvalidateCostIndependentOfSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		c, reset := populated(n)
+		got := testing.AllocsPerRun(20, func() { reset(); c.Invalidate(1) })
+		if st := c.Stats(); st.StaleEntries != n {
+			t.Fatalf("%d entries: %d stale after Invalidate", n, st.StaleEntries)
+		}
+		if _, ok := c.Stale(key(1, strconv.Itoa(n-1))); !ok {
+			t.Fatalf("%d entries: last entry not served stale", n)
+		}
+		return got
+	}
+	if small, large := allocs(10), allocs(10000); large > small {
+		t.Fatalf("Invalidate allocs/op = %v at 10 entries, %v at 10,000", small, large)
+	}
+}
+
+// BenchmarkCacheInvalidate times one reload's Invalidate over a
+// 10,000-entry live table. Every iteration reinstalls the same populated
+// table, so only the generation swap is timed: its allocs/op and B/op
+// must not grow with the entry count.
+func BenchmarkCacheInvalidate(b *testing.B) {
+	c, reset := populated(10000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reset()
+		c.Invalidate(1)
 	}
 }

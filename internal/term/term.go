@@ -202,7 +202,14 @@ func (t Term) String() string {
 	if t.IsZero() {
 		return "Term(zero)"
 	}
-	return fmt.Sprintf("%s '%02d", t.Season(), t.Year()%100)
+	yy := t.Year() % 100
+	var buf [16]byte
+	b := append(buf[:0], t.Season().String()...)
+	b = append(b, ' ', '\'')
+	if 0 <= yy && yy < 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(yy), 10))
 }
 
 // Label renders the term with the full year, e.g. "Fall 2011".
@@ -210,7 +217,10 @@ func (t Term) Label() string {
 	if t.IsZero() {
 		return "Term(zero)"
 	}
-	return fmt.Sprintf("%s %d", t.Season(), t.Year())
+	var buf [24]byte
+	b := append(buf[:0], t.Season().String()...)
+	b = append(b, ' ')
+	return string(strconv.AppendInt(b, int64(t.Year()), 10))
 }
 
 // Parse parses a term label against the given calendar. Accepted forms:
@@ -245,11 +255,17 @@ func Parse(c *Calendar, s string) (Term, error) {
 	return t, nil
 }
 
+// separatorsToSpace rewrites the characters a term label may use between
+// its season and year instead of a space.
+var separatorsToSpace = strings.NewReplacer("'", " ", "’", " ", "-", " ", "_", " ", ",", " ")
+
 // splitTermLabel splits a term label into its season and year parts,
 // tolerating separators ("Fall 2011", "Fall'11", "fall-2011") and the
 // compact form "fall11".
 func splitTermLabel(s string) []string {
-	s = strings.NewReplacer("'", " ", "’", " ", "-", " ", "_", " ", ",", " ").Replace(s)
+	if strings.ContainsAny(s, "'-_,") || strings.Contains(s, "’") {
+		s = separatorsToSpace.Replace(s)
+	}
 	fields := strings.Fields(s)
 	if len(fields) == 1 {
 		// Compact form: letters immediately followed by digits.

@@ -259,3 +259,15 @@ func TestTermCalendarAccessor(t *testing.T) {
 		t.Error("Calendar accessor wrong")
 	}
 }
+
+// BenchmarkTermParse is one schedule-record or request term label: the
+// parse runs for every schedule line of a registrar reload and every
+// admitted request, so it must not build its separator replacer per call.
+func BenchmarkTermParse(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(TwoSeason, "Fall 2013"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
