@@ -428,3 +428,61 @@ func BenchmarkRegistrarLoad(b *testing.B) {
 		}
 	}
 }
+
+// --- Serving set-up: the hot set's two engine requests ------------------
+
+// hotSetQuery is the most expensive position in the serving benchmark's
+// hot set: a student with eight courses done in Spring 2014, counting or
+// ranking paths to COSI 140A and COSI 146A by Fall 2015 at m = 3. A fresh
+// server (or a tenant after a reload) computes it cold, so its two
+// requests set most of the set-up time.
+func hotSetQuery(b *testing.B) (*coursenav.Navigator, coursenav.Query, coursenav.Goal) {
+	b.Helper()
+	nav, _ := coursenav.Brandeis()
+	g, err := nav.GoalCourses("COSI 140A", "COSI 146A")
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := coursenav.Query{
+		Completed: []string{"COSI 111A", "COSI 11A", "COSI 190A", "COSI 21A",
+			"COSI 29A", "COSI 2A", "COSI 30A", "COSI 33B"},
+		Start: "Spring 2014", End: "Fall 2015", MaxPerTerm: 3,
+	}
+	return nav, q, g
+}
+
+// BenchmarkHotSetCount is the hot position's goal countOnly request.
+// Gated by bench-regress: enumerating the deadline semester one
+// selection at a time instead of folding it shows up as a multiple of
+// the pinned time.
+func BenchmarkHotSetCount(b *testing.B) {
+	nav, q, g := hotSetQuery(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum coursenav.Summary
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sum, err = nav.GoalPathsCount(q, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sum.GoalPaths), "goalPaths/op")
+}
+
+// BenchmarkHotSetTopK is the hot position's time-ranked top-3 request.
+// Gated by bench-regress: deriving every generated child's option set,
+// or storing the frontier graph in a doubling slice, shows up in its
+// bytes and allocations.
+func BenchmarkHotSetTopK(b *testing.B) {
+	nav, q, g := hotSetQuery(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum coursenav.Summary
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, sum, err = nav.TopK(q, g, "time", 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sum.Nodes), "nodes/op")
+}

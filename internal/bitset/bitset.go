@@ -295,9 +295,20 @@ func (s Set) Equal(t Set) bool {
 
 // Members returns the members in increasing order.
 func (s Set) Members() []int {
-	out := make([]int, 0, s.Len())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
+	return s.AppendMembers(make([]int, 0, s.Len()))
+}
+
+// AppendMembers appends the members to dst in increasing order and
+// returns the extended slice, so a hot loop can list members into a
+// reused buffer.
+func (s Set) AppendMembers(dst []int) []int {
+	for wi, w := range s.words {
+		for w != 0 {
+			dst = append(dst, wi*wordBits+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return dst
 }
 
 // ForEach calls fn for every member in increasing order.

@@ -62,6 +62,24 @@ func TestFromMembersAndMembers(t *testing.T) {
 	}
 }
 
+func TestAppendMembersReusesBuffer(t *testing.T) {
+	s := FromMembers(200, 130, 2, 64, 7)
+	buf := make([]int, 0, 8)
+	got := s.AppendMembers(buf[:0])
+	if want := []int{2, 7, 64, 130}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendMembers = %v, want %v", got, want)
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Error("AppendMembers reallocated a buffer with room to spare")
+	}
+	if got := s.AppendMembers([]int{-1}); !reflect.DeepEqual(got, []int{-1, 2, 7, 64, 130}) {
+		t.Errorf("AppendMembers dropped the prefix: %v", got)
+	}
+	if a := testing.AllocsPerRun(100, func() { buf = s.AppendMembers(buf[:0]) }); a != 0 {
+		t.Errorf("AppendMembers allocates %.0f times into a large enough buffer", a)
+	}
+}
+
 func TestEmptyAndClear(t *testing.T) {
 	var zero Set
 	if !zero.Empty() {

@@ -9,7 +9,7 @@ package combin
 
 import (
 	"math"
-	"math/big"
+	"math/bits"
 
 	"repro/internal/bitset"
 )
@@ -118,6 +118,9 @@ func Count(n, maxSize int) int64 {
 }
 
 // Binomial returns C(n, k), saturating at math.MaxInt64 on overflow.
+// It is exact and allocation-free: the running product C(n−k+i, i) is
+// formed in 128 bits and divided back to 64, and since that product never
+// shrinks as i grows, the first one past MaxInt64 proves the result is.
 func Binomial(n, k int) int64 {
 	if k < 0 || k > n {
 		return 0
@@ -125,14 +128,16 @@ func Binomial(n, k int) int64 {
 	if k > n-k {
 		k = n - k
 	}
-	res := big.NewInt(1)
-	tmp := new(big.Int)
+	res := uint64(1)
 	for i := 1; i <= k; i++ {
-		res.Mul(res, tmp.SetInt64(int64(n-k+i)))
-		res.Quo(res, tmp.SetInt64(int64(i)))
+		hi, lo := bits.Mul64(res, uint64(n-k+i))
+		if hi >= uint64(i) {
+			return math.MaxInt64 // the quotient needs more than 64 bits
+		}
+		res, _ = bits.Div64(hi, lo, uint64(i))
+		if res > math.MaxInt64 {
+			return math.MaxInt64
+		}
 	}
-	if !res.IsInt64() {
-		return math.MaxInt64
-	}
-	return res.Int64()
+	return int64(res)
 }

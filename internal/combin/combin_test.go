@@ -2,6 +2,7 @@ package combin
 
 import (
 	"math"
+	"math/big"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -99,6 +100,35 @@ func TestBinomial(t *testing.T) {
 	// Overflow saturates.
 	if got := Binomial(200, 100); got != math.MaxInt64 {
 		t.Errorf("Binomial(200,100) = %d, want saturation", got)
+	}
+}
+
+// TestBinomialMatchesBig holds the 64-bit Binomial to an arbitrary-
+// precision reference for every n ≤ 256 and every k in [−1, n+1],
+// saturation included.
+func TestBinomialMatchesBig(t *testing.T) {
+	maxInt := big.NewInt(math.MaxInt64)
+	for n := 0; n <= 256; n++ {
+		for k := -1; k <= n+1; k++ {
+			want := int64(0)
+			if k >= 0 && k <= n {
+				ref := new(big.Int).Binomial(int64(n), int64(k))
+				if ref.Cmp(maxInt) > 0 {
+					want = math.MaxInt64
+				} else {
+					want = ref.Int64()
+				}
+			}
+			if got := Binomial(n, k); got != want {
+				t.Fatalf("Binomial(%d,%d) = %d, want %d", n, k, got, want)
+			}
+		}
+	}
+}
+
+func TestBinomialAllocatesNothing(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { Binomial(60, 30) }); a != 0 {
+		t.Errorf("Binomial allocates %.0f times per call, want 0", a)
 	}
 }
 

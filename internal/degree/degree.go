@@ -27,6 +27,14 @@ import (
 
 // Goal is a predicate over completed-course sets together with an
 // admissible estimate of the work remaining.
+//
+// Contract: Satisfied and Remaining depend only on x ∩ Relevant(). Courses
+// outside the relevant set can neither help nor hinder the goal, so
+// Satisfied(x) == Satisfied(x ∩ Relevant()) and likewise for Remaining.
+// Memoize keys its cache by that projection, and the exploration engine's
+// deadline-semester fold tests one selection per distinct relevant subset
+// on the strength of it; a Goal that breaks it gets wrong answers from
+// both.
 type Goal interface {
 	// Satisfied reports whether completed set x meets the goal.
 	Satisfied(x bitset.Set) bool
@@ -36,7 +44,8 @@ type Goal interface {
 	// and must return 0 when Satisfied(x). A return of -1 means the goal is
 	// unsatisfiable from any superset of x.
 	Remaining(x bitset.Set) int
-	// Relevant returns the set of courses that can contribute to the goal.
+	// Relevant returns the set of courses that can contribute to the goal
+	// (see the contract above). The caller owns the returned set.
 	Relevant() bitset.Set
 	// String describes the goal for logs and UIs.
 	String() string

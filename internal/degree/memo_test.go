@@ -176,3 +176,52 @@ func BenchmarkRequirementRemaining(b *testing.B) {
 	b.Run("overlapping", func(b *testing.B) { run(b, overlap) })
 	b.Run("overlapping-memoised", func(b *testing.B) { run(b, Memoize(overlap)) })
 }
+
+// TestGoalRelevantContract holds every goal type to the Goal contract the
+// memo cache and the engine's deadline-semester fold rest on: Satisfied
+// and Remaining answer the same for x and for x ∩ Relevant().
+func TestGoalRelevantContract(t *testing.T) {
+	cat := testCatalog(t)
+	cs, err := NewCourseSet(cat, "c1", "c4", "c7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExpr(cat, "(c0 and c1) or (c2 and (c3 or c5)) or c9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	disjoint, err := NewRequirement(cat,
+		GroupSpec{Name: "a", Count: 2, Courses: []string{"c0", "c1", "c2"}},
+		GroupSpec{Name: "b", Count: 1, Courses: []string{"c5", "c6"}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlapping := overlappingReq(t)
+	goals := map[string]Goal{
+		"course set":              cs,
+		"expr":                    ex,
+		"disjoint requirement":    disjoint,
+		"overlapping requirement": overlapping,
+		"memoised requirement":    Memoize(overlapping),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for name, g := range goals {
+		rel := g.Relevant()
+		for i := 0; i < 300; i++ {
+			x := bitset.New(cat.Len())
+			for c := 0; c < cat.Len(); c++ {
+				if rng.Intn(2) == 0 {
+					x.Add(c)
+				}
+			}
+			proj := x.Intersect(rel)
+			if got, want := g.Satisfied(x), g.Satisfied(proj); got != want {
+				t.Fatalf("%s: Satisfied(%v) = %v but Satisfied(x ∩ Relevant = %v) = %v", name, x, got, proj, want)
+			}
+			if got, want := g.Remaining(x), g.Remaining(proj); got != want {
+				t.Fatalf("%s: Remaining(%v) = %d but Remaining(x ∩ Relevant = %v) = %d", name, x, got, proj, want)
+			}
+		}
+	}
+}

@@ -272,6 +272,12 @@ func (b *dagBuilder) expand(n *dagNode) {
 	next := n.st.Term.Next()
 	ord := int32(next.Ordinal())
 	lastLevel := !next.Before(e.end)
+	if lastLevel && b.mode != dagStream {
+		if sel, goalSel, ok := e.lastLevelCounts(n.st, int(n.minTake)); ok {
+			b.foldLast(n, sel, goalSel)
+			return
+		}
+	}
 	childless, stopped := true, false
 	_ = e.selections(n.st, int(n.minTake), func(sel bitset.Set) error {
 		if e.ctl.interrupted() {
@@ -320,6 +326,29 @@ func (b *dagBuilder) expand(n *dagNode) {
 	})
 	if n.deadEnd = childless && !stopped; n.deadEnd && e.sink == nil {
 		e.notePaths(1)
+	}
+}
+
+// foldLast charges a deadline-semester node's closed-form selection
+// counts (engine.lastLevelCounts) exactly as enumerating them would:
+// every selection is an edge and a terminal path, and counting mode adds
+// the node's prefix once per path and once per goal path — prefix × count
+// wraps exactly as the repeated additions it replaces. The run control is
+// consulted once for the node, where the enumeration consulted it per
+// selection.
+func (b *dagBuilder) foldLast(n *dagNode, sel, goalSel int64) {
+	e := b.e
+	if e.ctl.interrupted() {
+		return
+	}
+	e.res.Edges += sel
+	e.notePaths(sel)
+	if b.mode == dagCount {
+		b.paths += n.prefix * sel
+		b.goalPaths += n.prefix * goalSel
+		if b.multi && goalSel != 0 {
+			b.bumpGoal(n.depth+1, n.prefix*goalSel)
+		}
 	}
 }
 
@@ -439,6 +468,12 @@ func (b *dagBuilder) retally() {
 			next := n.st.Term.Next()
 			ord := int32(next.Ordinal())
 			lastLevel := !next.Before(e.end)
+			if lastLevel {
+				if sel, goalSel, ok := e.lastLevelCounts(n.st, int(n.minTake)); ok {
+					n.tally = [2]int64{sel, goalSel}
+					continue
+				}
+			}
 			var t [2]int64
 			_ = e.selections(n.st, int(n.minTake), func(sel bitset.Set) error {
 				b.uscr.CopyFrom(n.st.Completed)

@@ -312,6 +312,16 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 		ord := int32(next.Ordinal())
 		goalFrom := clampHz(next.Ordinal()-endOrd, c.horizon)
 		lastLevel := !next.Before(e.end)
+		if lastLevel {
+			if sel, goalSel, ok := e.lastLevelCounts(st, minTake); ok {
+				// The deadline semester in closed form, as dagCount folds it.
+				vec[0] = sel
+				for hz := goalFrom; hz <= c.horizon; hz++ {
+					vec[1+hz] = goalSel
+				}
+				break
+			}
+		}
 		childless := true
 		e.selScratch = c.wscr[depth]
 		err := e.selections(st, minTake, func(sel bitset.Set) error {

@@ -261,6 +261,8 @@ type engine struct {
 	// slice stack suffices.
 	scratches []*combin.Scratch
 	kidsFree  [][]childRef
+	// fold is the deadline-semester fold's reusable storage (fold.go).
+	fold foldState
 }
 
 // childRef is expandMaterialized's record of a created-but-not-yet-expanded

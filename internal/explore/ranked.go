@@ -34,7 +34,10 @@ type RankedResult struct {
 	// Paths lists up to k goal paths in rank order (best first). Fewer than
 	// k are returned when the goal graph has fewer goal paths.
 	Paths []RankedPath
-	// Graph is the explored portion of the learning graph.
+	// Graph is the explored portion of the learning graph. Without a
+	// sink, a generated node's option set is derived only when the search
+	// pops it, so nodes left on the frontier carry an empty
+	// Status.Options.
 	Graph *graph.Graph
 	// Nodes, Edges, PrunedTime and PrunedAvail mirror Result.
 	Nodes, Edges            int64
@@ -163,6 +166,12 @@ func RankedStream(ctx context.Context, cat *catalog.Catalog, start status.Status
 		}
 		return ranker.Heuristic(left, opt.MaxPerTerm)
 	}
+	// With no sink, a child is generated with only its term and completed
+	// set, which is all that h, the rankers' EdgeCost and both pruners
+	// read, and its option set is derived when it is popped: a search that
+	// generates thousands of children typically expands a few hundred.
+	// Edge events carry the child status, so a sink gets it eagerly.
+	lazy := sink == nil
 	pq := newMinHeap(frontierLess, 64)
 	pq.Push(frontierItem{node: g.Root(), cost: 0, pri: h(start), seq: 0})
 	var seq int64
@@ -172,7 +181,11 @@ func RankedStream(ctx context.Context, cat *catalog.Catalog, start status.Status
 		}
 		it := pq.Pop()
 		res.Popped++
-		st := g.Node(it.node).Status
+		nd := g.Node(it.node)
+		if lazy && it.node != g.Root() {
+			nd.Status.Options = e.cat.OptionsArena(&e.arena, nd.Status.Completed, nd.Status.Term)
+		}
+		st := nd.Status
 		class, minTake := e.classify(st)
 		switch class {
 		case classGoal:
@@ -205,8 +218,14 @@ func RankedStream(ctx context.Context, cat *catalog.Catalog, start status.Status
 			}
 			continue
 		}
+		next := st.Term.Next()
 		err := e.selections(st, minTake, func(w bitset.Set) error {
-			child := e.advance(st, w)
+			var child status.Status
+			if lazy {
+				child = status.Status{Term: next, Completed: e.arena.Union(st.Completed, w)}
+			} else {
+				child = e.advance(st, w)
+			}
 			ec := ranker.EdgeCost(st, w)
 			if ec < 0 {
 				return fmt.Errorf("explore: ranking function %q returned negative edge cost %g", ranker.Name(), ec)

@@ -498,3 +498,63 @@ func BenchmarkGoalMaterialize(b *testing.B) {
 		}
 	}
 }
+
+// TestRankedLazyOptionsMatchEager: without a sink the ranked search
+// derives option sets on pop; with one it derives them for every
+// generated child. Both must return the same paths and the same effort
+// tallies under every ranker, and under a path-cost threshold.
+func TestRankedLazyOptionsMatchEager(t *testing.T) {
+	cat := brandeis.Catalog()
+	goal, err := brandeis.Major(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob := func(ci int, tm term.Term) float64 {
+		if cat.OfferedIn(tm).Contains(ci) {
+			return 0.9
+		}
+		return 0.2
+	}
+	weighted, err := rank.NewWeighted(rank.Component{Ranker: rank.Time{}, Weight: 10}, rank.Component{Ranker: rank.Workload{W: cat.Workloads()}, Weight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rankers := []rank.Ranker{rank.Time{}, rank.Workload{W: cat.Workloads()}, rank.Reliability{Prob: prob}, weighted}
+	start := emptyStart(cat, brandeis.StartForSemesters(5))
+	end := brandeis.EndTerm()
+	for _, r := range rankers {
+		for _, maxCost := range []float64{0, 5, 60} {
+			opt := Options{MaxPerTerm: brandeis.MaxPerTerm, MaxPathCost: maxCost}
+			pruners := PaperPruners(cat, goal, opt.MaxPerTerm)
+			lazy, err := RankedCtx(context.Background(), cat, start, end, goal, r, 8, pruners, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eager, err := RankedStream(context.Background(), cat, start, end, goal, r, 8, pruners, opt, SinkFunc(func(Event) error { return nil }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s maxCost=%g", r.Name(), maxCost)
+			if lazy.Nodes != eager.Nodes || lazy.Edges != eager.Edges || lazy.Popped != eager.Popped ||
+				lazy.PrunedTime != eager.PrunedTime || lazy.PrunedAvail != eager.PrunedAvail {
+				t.Fatalf("%s: tallies differ: lazy n%d e%d p%d pt%d pa%d, eager n%d e%d p%d pt%d pa%d", name,
+					lazy.Nodes, lazy.Edges, lazy.Popped, lazy.PrunedTime, lazy.PrunedAvail,
+					eager.Nodes, eager.Edges, eager.Popped, eager.PrunedTime, eager.PrunedAvail)
+			}
+			if len(lazy.Paths) != len(eager.Paths) {
+				t.Fatalf("%s: %d paths lazily, %d eagerly", name, len(lazy.Paths), len(eager.Paths))
+			}
+			for i := range lazy.Paths {
+				lp, ep := lazy.Paths[i], eager.Paths[i]
+				ls := stepSignature(cat, rankedSteps(lazy.Graph, lp.Path))
+				es := stepSignature(cat, rankedSteps(eager.Graph, ep.Path))
+				if lp.Cost != ep.Cost || lp.Value != ep.Value || ls != es {
+					t.Fatalf("%s path %d: lazy %g %s, eager %g %s", name, i, lp.Cost, ls, ep.Cost, es)
+				}
+			}
+			if maxCost == 0 && len(lazy.Paths) == 0 {
+				t.Fatalf("%s: no paths; the case proves nothing", name)
+			}
+		}
+	}
+}

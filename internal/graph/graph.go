@@ -13,6 +13,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/status"
@@ -54,16 +55,23 @@ type Edge struct {
 }
 
 // Graph is a learning graph rooted at the student's starting status.
+//
+// Nodes and edges live in chunks that double from 16 to 4,096 entries:
+// appending never moves an entry, so Node and Edge pointers stay valid for
+// the graph's life, and a small graph allocates no more than a slice
+// would. Out and In lists are carved from two per-graph arenas (see
+// adjArena), so a tree costs no per-node adjacency allocation.
 type Graph struct {
-	nodes []Node
-	edges []Edge
-	root  NodeID
+	nodes   chunks[Node]
+	edges   chunks[Edge]
+	out, in adjArena
+	root    NodeID
 }
 
 // New returns a graph containing only the root status.
 func New(root status.Status) *Graph {
 	g := &Graph{root: 0}
-	g.nodes = append(g.nodes, Node{Status: root})
+	g.nodes.add(Node{Status: root})
 	return g
 }
 
@@ -71,47 +79,46 @@ func New(root status.Status) *Graph {
 func (g *Graph) Root() NodeID { return g.root }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return g.nodes.n }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.edges.n }
 
-// Node returns the node with the given ID. The returned pointer is valid
-// until the next AddNode.
-func (g *Graph) Node(id NodeID) *Node { return &g.nodes[id] }
+// Node returns the node with the given ID. Nodes never move, so the
+// pointer stays valid across AddNode and AddEdge.
+func (g *Graph) Node(id NodeID) *Node { return g.nodes.at(int(id)) }
 
-// Edge returns the edge with the given ID. The returned pointer is valid
-// until the next AddEdge.
-func (g *Graph) Edge(id EdgeID) *Edge { return &g.edges[id] }
+// Edge returns the edge with the given ID. Edges never move, so the
+// pointer stays valid across AddEdge.
+func (g *Graph) Edge(id EdgeID) *Edge { return g.edges.at(int(id)) }
 
 // AddNode appends a node for the given status and returns its ID.
 func (g *Graph) AddNode(st status.Status) NodeID {
-	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, Node{Status: st})
-	return id
+	return NodeID(g.nodes.add(Node{Status: st}))
 }
 
 // AddEdge appends an edge from → to labelled with selection and links
 // adjacency on both endpoints.
 func (g *Graph) AddEdge(from, to NodeID, selection bitset.Set, cost float64) EdgeID {
-	id := EdgeID(len(g.edges))
-	g.edges = append(g.edges, Edge{From: from, To: to, Selection: selection, Cost: cost})
-	g.nodes[from].Out = append(g.nodes[from].Out, id)
-	g.nodes[to].In = append(g.nodes[to].In, id)
+	id := EdgeID(g.edges.add(Edge{From: from, To: to, Selection: selection, Cost: cost}))
+	f := g.Node(from)
+	f.Out = g.out.push(f.Out, id)
+	t := g.Node(to)
+	t.In = g.in.push(t.In, id)
 	return id
 }
 
 // MarkGoal flags a node as satisfying the exploration goal.
-func (g *Graph) MarkGoal(id NodeID) { g.nodes[id].Goal = true }
+func (g *Graph) MarkGoal(id NodeID) { g.Node(id).Goal = true }
 
 // MarkPruned flags a node as cut by a pruning strategy.
-func (g *Graph) MarkPruned(id NodeID) { g.nodes[id].Pruned = true }
+func (g *Graph) MarkPruned(id NodeID) { g.Node(id).Pruned = true }
 
 // Leaves returns the IDs of nodes with no outgoing edges, in ID order.
 func (g *Graph) Leaves() []NodeID {
 	var out []NodeID
-	for i := range g.nodes {
-		if len(g.nodes[i].Out) == 0 {
+	for i := 0; i < g.nodes.n; i++ {
+		if len(g.nodes.at(i).Out) == 0 {
 			out = append(out, NodeID(i))
 		}
 	}
@@ -121,12 +128,90 @@ func (g *Graph) Leaves() []NodeID {
 // GoalNodes returns the IDs of nodes marked as goals, in ID order.
 func (g *Graph) GoalNodes() []NodeID {
 	var out []NodeID
-	for i := range g.nodes {
-		if g.nodes[i].Goal {
+	for i := 0; i < g.nodes.n; i++ {
+		if g.nodes.at(i).Goal {
 			out = append(out, NodeID(i))
 		}
 	}
 	return out
+}
+
+// Chunk geometry: chunk k holds 16·2^k entries up to 4,096, then 4,096
+// each. The doubling chunks together hold doublingSpan entries.
+const (
+	chunkMinShift = 4
+	chunkMaxShift = 12
+	doublingSpan  = 1<<(chunkMaxShift+1) - 1<<chunkMinShift
+	doublingCount = chunkMaxShift - chunkMinShift + 1
+)
+
+// locate maps an entry index to its chunk and offset in O(1).
+func locate(i int) (chunk, off int) {
+	if i < doublingSpan {
+		k := bits.Len(uint(i>>chunkMinShift+1)) - 1
+		return k, i - (1<<(k+chunkMinShift) - 1<<chunkMinShift)
+	}
+	j := i - doublingSpan
+	return doublingCount + j>>chunkMaxShift, j & (1<<chunkMaxShift - 1)
+}
+
+// chunks is append-only storage whose entries never move.
+type chunks[T any] struct {
+	list [][]T
+	n    int
+}
+
+func (c *chunks[T]) at(i int) *T {
+	if uint(i) >= uint(c.n) {
+		panic("graph: node or edge ID out of range")
+	}
+	k, off := locate(i)
+	return &c.list[k][off]
+}
+
+// add appends v and returns its index.
+func (c *chunks[T]) add(v T) int {
+	k, off := locate(c.n)
+	if k == len(c.list) {
+		c.list = append(c.list, make([]T, 1<<(min(k, doublingCount-1)+chunkMinShift)))
+	}
+	c.list[k][off] = v
+	c.n++
+	return c.n - 1
+}
+
+// Adjacency arena chunks double from adjChunkMin to adjChunkMax entries.
+const (
+	adjChunkMin = 16
+	adjChunkMax = 4096
+)
+
+// adjArena carves short []EdgeID lists out of shared chunks. A list that
+// ends at the arena's newest entry grows in place, so a tree node's
+// consecutive children extend its Out list without allocating, and a
+// child's single In entry costs a slot in a chunk, not an allocation.
+// Lists are handed out with capacity equal to length, so a caller's
+// append can never write into a neighbour's entries; a list that is no
+// longer the newest (a merged-DAG node gaining a second parent) grows as
+// an ordinary slice instead.
+type adjArena struct {
+	buf []EdgeID // current chunk; len is the carved prefix
+}
+
+// push returns list with id appended.
+func (a *adjArena) push(list []EdgeID, id EdgeID) []EdgeID {
+	n := len(list)
+	if n > 0 && (len(a.buf) == 0 || &list[n-1] != &a.buf[len(a.buf)-1]) {
+		return append(list, id)
+	}
+	if len(a.buf) == cap(a.buf) {
+		// A fresh chunk; the list (empty, or the newest run) moves along.
+		size := max(min(2*cap(a.buf), adjChunkMax), adjChunkMin, 2*(n+1))
+		a.buf = append(make([]EdgeID, 0, size), list...)
+	}
+	a.buf = append(a.buf, id)
+	end := len(a.buf)
+	return a.buf[end-n-1 : end : end]
 }
 
 // Path is a root-to-node walk: Nodes[0] is the root and
@@ -143,7 +228,7 @@ func (p Path) Len() int { return len(p.Edges) }
 func (p Path) Cost(g *Graph) float64 {
 	var c float64
 	for _, e := range p.Edges {
-		c += g.edges[e].Cost
+		c += g.Edge(e).Cost
 	}
 	return c
 }
@@ -156,13 +241,13 @@ func (g *Graph) PathTo(id NodeID) Path {
 	cur := id
 	for {
 		revNodes = append(revNodes, cur)
-		n := &g.nodes[cur]
+		n := g.Node(cur)
 		if len(n.In) == 0 {
 			break
 		}
 		e := n.In[0]
 		revEdges = append(revEdges, e)
-		cur = g.edges[e].From
+		cur = g.Edge(e).From
 	}
 	// Reverse.
 	p := Path{
@@ -190,7 +275,7 @@ func (g *Graph) ForEachPath(goalOnly bool, fn func(Path) bool) {
 	dfs = func(id NodeID) bool {
 		nodes = append(nodes, id)
 		defer func() { nodes = nodes[:len(nodes)-1] }()
-		n := &g.nodes[id]
+		n := g.Node(id)
 		terminal := len(n.Out) == 0 && !n.Pruned
 		report := terminal
 		if goalOnly {
@@ -203,7 +288,7 @@ func (g *Graph) ForEachPath(goalOnly bool, fn func(Path) bool) {
 		}
 		for _, e := range n.Out {
 			edges = append(edges, e)
-			ok := dfs(g.edges[e].To)
+			ok := dfs(g.Edge(e).To)
 			edges = edges[:len(edges)-1]
 			if !ok {
 				return false
@@ -233,7 +318,7 @@ func (g *Graph) Paths(goalOnly bool) []Path {
 // number of root→goal-node paths) without enumerating them, via memoised
 // DFS over the DAG. Saturates at math.MaxInt64.
 func (g *Graph) CountPaths(goalOnly bool) int64 {
-	memo := make([]int64, len(g.nodes))
+	memo := make([]int64, g.nodes.n)
 	for i := range memo {
 		memo[i] = -1
 	}
@@ -242,7 +327,7 @@ func (g *Graph) CountPaths(goalOnly bool) int64 {
 		if memo[id] >= 0 {
 			return memo[id]
 		}
-		n := &g.nodes[id]
+		n := g.Node(id)
 		var total int64
 		if goalOnly {
 			if n.Goal {
@@ -252,7 +337,7 @@ func (g *Graph) CountPaths(goalOnly bool) int64 {
 			total = 1
 		}
 		for _, e := range n.Out {
-			c := count(g.edges[e].To)
+			c := count(g.Edge(e).To)
 			if total > math.MaxInt64-c {
 				total = math.MaxInt64
 			} else {
@@ -267,7 +352,7 @@ func (g *Graph) CountPaths(goalOnly bool) int64 {
 
 // Depth returns the maximum number of edges on any root-to-leaf path.
 func (g *Graph) Depth() int {
-	memo := make([]int, len(g.nodes))
+	memo := make([]int, g.nodes.n)
 	for i := range memo {
 		memo[i] = -1
 	}
@@ -277,8 +362,8 @@ func (g *Graph) Depth() int {
 			return memo[id]
 		}
 		best := 0
-		for _, e := range g.nodes[id].Out {
-			if d := depth(g.edges[e].To) + 1; d > best {
+		for _, e := range g.Node(id).Out {
+			if d := depth(g.Edge(e).To) + 1; d > best {
 				best = d
 			}
 		}

@@ -311,11 +311,7 @@ func (s *Server) serveCached(t *tenantState, w http.ResponseWriter, r *http.Requ
 	run(bw, r)
 	var ent *resultcache.Entry
 	if bw.status == http.StatusOK && bw.stopped == "" && bw.buf.Len() <= maxCacheEntryBytes {
-		ent = &resultcache.Entry{
-			Body:   append([]byte(nil), bw.buf.Bytes()...),
-			Paths:  bw.paths,
-			Window: bw.window,
-		}
+		ent = newEntry(bw.buf.Bytes(), bw.paths, bw.window)
 	}
 	if leader {
 		cache.Finish(key, f, ent)
@@ -396,11 +392,7 @@ func (s *Server) revalidate(t *tenantState, r *http.Request, cache *resultcache.
 		run(bw, bg)
 		var ent *resultcache.Entry
 		if bw.status == http.StatusOK && bw.stopped == "" && bw.buf.Len() <= maxCacheEntryBytes {
-			ent = &resultcache.Entry{
-				Body:   append([]byte(nil), bw.buf.Bytes()...),
-				Paths:  bw.paths,
-				Window: bw.window,
-			}
+			ent = newEntry(bw.buf.Bytes(), bw.paths, bw.window)
 		}
 		cache.Finish(key, f, ent)
 		finished = true
@@ -415,7 +407,7 @@ func (s *Server) graphEntry(qs QuerySpec, sum coursenav.Summary, g *coursenav.Gr
 	if err := s.renderExploreBody(&buf, sum, g); err != nil || buf.Len() > maxCacheEntryBytes {
 		return nil
 	}
-	return &resultcache.Entry{Body: buf.Bytes(), Paths: paths, Window: qs.Start + " → " + qs.End}
+	return newEntry(buf.Bytes(), paths, qs.Start+" → "+qs.End)
 }
 
 // rankedEntry renders the non-streaming ranked response body for cache
@@ -426,5 +418,13 @@ func (s *Server) rankedEntry(qs QuerySpec, sum coursenav.Summary, paths []course
 	if err != nil || len(blob)+1 > maxCacheEntryBytes {
 		return nil
 	}
-	return &resultcache.Entry{Body: append(blob, '\n'), Paths: int64(len(paths)), Window: qs.Start + " → " + qs.End}
+	return newEntry(append(blob, '\n'), int64(len(paths)), qs.Start+" → "+qs.End)
+}
+
+// newEntry builds a result-cache entry around a copy of body cut to its
+// exact length. The cache charges an entry len(Body)+256 bytes, while the
+// bytes.Buffer or append a body is rendered in can hold up to twice its
+// length in capacity — memory the charge would never see.
+func newEntry(body []byte, paths int64, window string) *resultcache.Entry {
+	return &resultcache.Entry{Body: bytes.Clone(body), Paths: paths, Window: window}
 }

@@ -458,11 +458,7 @@ func (p *serverPlanner) Count(ctx context.Context, m cohort.Member, end string, 
 		if err := p.s.renderExploreBody(&buf, sum, nil); err != nil {
 			return nil, false, err
 		}
-		ent := &resultcache.Entry{
-			Body:   buf.Bytes(),
-			Paths:  sum.GoalPaths,
-			Window: req.Query.Start + " → " + req.Query.End,
-		}
+		ent := newEntry(buf.Bytes(), sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
 		return ent, sum.Stopped == "" && buf.Len() <= maxCacheEntryBytes, nil
 	})
 	if err != nil {
@@ -505,11 +501,7 @@ func (p *serverPlanner) CountHorizons(ctx context.Context, m cohort.Member, end 
 		if err != nil {
 			return nil, false, err
 		}
-		ent := &resultcache.Entry{
-			Body:   append(blob, '\n'),
-			Paths:  sum.GoalPaths,
-			Window: req.Query.Start + " → " + req.Query.End,
-		}
+		ent := newEntry(append(blob, '\n'), sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
 		return ent, sum.Stopped == "" && len(ent.Body) <= maxCacheEntryBytes, nil
 	})
 	if err != nil {
@@ -552,11 +544,7 @@ func (p *serverPlanner) sharedUnit(ctx context.Context, m cohort.Member, end str
 		if err := p.s.renderExploreBody(&buf, sum, nil); err != nil {
 			return nil, false, err
 		}
-		ent := &resultcache.Entry{
-			Body:   buf.Bytes(),
-			Paths:  sum.GoalPaths,
-			Window: req.Query.Start + " → " + req.Query.End,
-		}
+		ent := newEntry(buf.Bytes(), sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
 		return ent, buf.Len() <= maxCacheEntryBytes, nil
 	})
 	if err != nil {
@@ -584,11 +572,7 @@ func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, 
 		if err != nil {
 			return nil, false, err
 		}
-		ent := &resultcache.Entry{
-			Body:   append(blob, '\n'),
-			Paths:  sc.GoalPaths[0],
-			Window: req.Query.Start + " → " + req.Query.End,
-		}
+		ent := newEntry(append(blob, '\n'), sc.GoalPaths[0], req.Query.Start+" → "+req.Query.End)
 		return ent, len(ent.Body) <= maxCacheEntryBytes, nil
 	})
 	if err != nil {
@@ -627,11 +611,7 @@ func (p *serverPlanner) Replan(ctx context.Context, m cohort.Member, end string)
 		if err != nil {
 			return nil, false, err
 		}
-		ent := &resultcache.Entry{
-			Body:   append(blob, '\n'),
-			Paths:  int64(len(impacts)),
-			Window: req.Query.Start + " → " + req.Query.End,
-		}
+		ent := newEntry(append(blob, '\n'), int64(len(impacts)), req.Query.Start+" → "+req.Query.End)
 		return ent, stopped == "" && len(ent.Body) <= maxCacheEntryBytes, nil
 	})
 	if err != nil {

@@ -857,13 +857,14 @@ func (s *Server) respondGraph(w http.ResponseWriter, g *coursenav.Graph, sum cou
 // after the header has gone out can only be a dead socket — it is
 // recorded for usage (statusRecorder.writeErr) and the body abandoned.
 func (s *Server) writeExplore(w http.ResponseWriter, sum coursenav.Summary, g *coursenav.Graph) {
-	if _, err := json.Marshal(toSummaryBody(sum)); err != nil {
+	sumJSON, err := json.Marshal(toSummaryBody(sum))
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, CodeInternal, "rendering summary: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_ = s.renderExploreBody(w, sum, g)
+	_ = s.writeExploreBody(w, sumJSON, g)
 }
 
 // renderExploreBody writes the explore envelope body — the exact bytes
@@ -875,8 +876,14 @@ func (s *Server) renderExploreBody(w io.Writer, sum coursenav.Summary, g *course
 	if err != nil {
 		return err
 	}
+	return s.writeExploreBody(w, sumJSON, g)
+}
+
+// writeExploreBody writes the explore envelope around an already
+// marshalled summary.
+func (s *Server) writeExploreBody(w io.Writer, sumJSON []byte, g *coursenav.Graph) error {
 	if g == nil {
-		_, err = fmt.Fprintf(w, "{\"summary\":%s}\n", sumJSON)
+		_, err := fmt.Fprintf(w, "{\"summary\":%s}\n", sumJSON)
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "{\"summary\":%s,\"graph\":", sumJSON); err != nil {
@@ -890,7 +897,7 @@ func (s *Server) renderExploreBody(w io.Writer, sum coursenav.Summary, g *course
 			return err
 		}
 	}
-	_, err = fmt.Fprint(w, "}\n")
+	_, err := fmt.Fprint(w, "}\n")
 	return err
 }
 
