@@ -70,19 +70,25 @@ cohort-short:
 	$(GO) test -race -timeout 120s -run 'Cohort|WhatIf' ./internal/server/
 
 # Bounded fuzz smoke over the ingestion parsers (grammar round-trip,
-# prerequisite extraction, lenient/strict differential, and the
-# differential contracts holding the parsers' fast paths to their
-# reference regexps), plus the DAG's closed-form deadline-semester fold
-# against enumeration. go test allows
+# prerequisite extraction, lenient/strict differential, the differential
+# contracts holding the parsers' fast paths and byte scanners to their
+# reference regexps and rune lexer, and the typed registrar import held
+# to the text import), the result cache's request canonicalisation, plus
+# the DAG's closed-form deadline-semester fold against enumeration. go
+# test allows
 # one -fuzz target per invocation, hence one line per target. The
 # minimize budget is capped in execs: the default (60s per interesting
 # input) can stall a 5s smoke run for a minute on a fresh build cache.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzParse$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/expr/
+	$(GO) test -run '^$$' -fuzz 'FuzzLexMatchesRuneLexer$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/expr/
 	$(GO) test -run '^$$' -fuzz 'FuzzParsePrereq$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/registrar/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCatalogDumpLenient$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/registrar/
 	$(GO) test -run '^$$' -fuzz 'FuzzNormalizeCourseID$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/registrar/
 	$(GO) test -run '^$$' -fuzz 'FuzzParsePrereqDifferential$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/registrar/
+	$(GO) test -run '^$$' -fuzz 'FuzzScannersMatchRegexps$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/registrar/
+	$(GO) test -run '^$$' -fuzz 'FuzzImportTypedMatchesText$$' -fuzztime 5s -fuzzminimizetime 100x .
+	$(GO) test -run '^$$' -fuzz 'FuzzCanonicalRequest$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/server/
 	$(GO) test -run '^$$' -fuzz 'FuzzTermParse$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/term/
 	$(GO) test -run '^$$' -fuzz 'FuzzDeadlineFold$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/explore/
 
@@ -100,7 +106,7 @@ bench-smoke:
 # installed (CI installs it), a human-readable delta is printed too.
 # Keep the -bench pattern and -benchtime in sync with bench-baseline —
 # allocs/op amortisation depends on the iteration count.
-BENCH_GATE = GoalStream$$|GoalMaterialize$$|FrontierHeapGeneric$$|FrontierHeapBoxed$$|ExploreCold$$|ExploreWarm$$|ExploreCoalesced$$|CohortReplanCold$$|CohortReplanWarm$$|CohortSharedCold$$|CohortSharedWarm$$|DAGCount$$|DAGCountSmall$$|DAGWhatIf$$|MultiHorizonProbe$$|TranscriptGeneration$$|RegistrarLoad$$|TermParse$$|CacheInvalidate$$|HotSetCount$$|HotSetTopK$$
+BENCH_GATE = GoalStream$$|GoalMaterialize$$|FrontierHeapGeneric$$|FrontierHeapBoxed$$|ExploreCold$$|ExploreWarm$$|ExploreCoalesced$$|CohortReplanCold$$|CohortReplanWarm$$|CohortSharedCold$$|CohortSharedWarm$$|DAGCount$$|DAGCountSmall$$|DAGWhatIf$$|MultiHorizonProbe$$|TranscriptGeneration$$|RegistrarLoad$$|RegistrarLoad2000$$|TermParse$$|CacheInvalidate$$|HotSetCount$$|HotSetTopK$$
 BENCH_DIR  = .bench
 BENCH_RUN  = $(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 20x . ./internal/explore/ ./internal/server/ ./internal/term/ ./internal/resultcache/
 

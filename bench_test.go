@@ -20,6 +20,7 @@ import (
 	"repro"
 	"repro/internal/bitset"
 	"repro/internal/brandeis"
+	"repro/internal/datagen"
 	"repro/internal/explore"
 	"repro/internal/rank"
 	"repro/internal/status"
@@ -391,11 +392,10 @@ func BenchmarkAblationParallelMergeCount(b *testing.B) {
 
 // --- Ingestion: registrar dump → Navigator (paper §3, Figure 2) -------
 
-// benchDump renders the embedded catalog as registrar text, one block per
+// registrarText renders nav's catalog as registrar text, one block per
 // course with the prerequisite in its description plus one "COURSE | TERM"
 // schedule record per offering — the shape a hot reload parses.
-func benchDump() (catalogDump, schedule []byte) {
-	nav, _ := coursenav.Brandeis()
+func registrarText(nav *coursenav.Navigator) (catalogDump, schedule []byte) {
 	var cat, sched bytes.Buffer
 	for _, c := range nav.Courses() {
 		fmt.Fprintf(&cat, "course: %s\ntitle: %s\ndescription: %s.", c.ID, c.Title, c.Title)
@@ -410,23 +410,45 @@ func benchDump() (catalogDump, schedule []byte) {
 	return cat.Bytes(), sched.Bytes()
 }
 
+// benchRegistrarLoad imports nav's catalog from registrar text over the
+// window [first, last] once per iteration, reporting the time per course
+// beside the time per import.
+func benchRegistrarLoad(b *testing.B, nav *coursenav.Navigator, first, last string) {
+	cat, sched := registrarText(nav)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := coursenav.NewFromRegistrarDump(bytes.NewReader(cat), bytes.NewReader(sched), first, last)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.NumCourses() != nav.NumCourses() {
+			b.Fatalf("courses = %d, want %d", got.NumCourses(), nav.NumCourses())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nav.NumCourses()), "ns/course")
+}
+
 // BenchmarkRegistrarLoad is one catalog reload's parse: the Prerequisite
 // and Schedule parsers over the rendered 38-course dump, then catalog
 // construction. A per-call regexp or replacer compile shows up here as
 // thousands of extra allocs/op.
 func BenchmarkRegistrarLoad(b *testing.B) {
-	cat, sched := benchDump()
-	first, last := brandeis.FirstTerm().Label(), brandeis.EndTerm().Label()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		nav, err := coursenav.NewFromRegistrarDump(bytes.NewReader(cat), bytes.NewReader(sched), first, last)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if nav.NumCourses() != benchCat.Len() {
-			b.Fatalf("courses = %d, want %d", nav.NumCourses(), benchCat.Len())
-		}
+	nav, _ := coursenav.Brandeis()
+	benchRegistrarLoad(b, nav, brandeis.FirstTerm().Label(), brandeis.EndTerm().Label())
+}
+
+// BenchmarkRegistrarLoad2000 is the same import at institution scale: a
+// 2,000-course generated catalog in the same text shape. Its ns/course
+// stays close to RegistrarLoad's when the import is linear in the dump.
+func BenchmarkRegistrarLoad2000(b *testing.B) {
+	p := datagen.Default()
+	p.Courses = 2000
+	cat, err := datagen.Generate(p)
+	if err != nil {
+		b.Fatal(err)
 	}
+	benchRegistrarLoad(b, coursenav.NewFromCatalog(cat), cat.FirstTerm().Label(), cat.LastTerm().Label())
 }
 
 // --- Serving set-up: the hot set's two engine requests ------------------

@@ -102,15 +102,11 @@ func NewFromJSON(r io.Reader) (*Navigator, error) {
 // lines) that overrides phrase-derived offerings. firstTerm and lastTerm
 // ("Fall 2011", "Fall 2015") bound the schedule window.
 func NewFromRegistrarDump(catalogDump io.Reader, schedule io.Reader, firstTerm, lastTerm string) (*Navigator, error) {
-	first, err := term.Parse(term.TwoSeason, firstTerm)
+	first, last, err := registrarWindow(firstTerm, lastTerm)
 	if err != nil {
 		return nil, err
 	}
-	last, err := term.Parse(term.TwoSeason, lastTerm)
-	if err != nil {
-		return nil, err
-	}
-	specs, err := registrar.ParseCatalogDump(catalogDump, first, last)
+	courses, err := registrar.ParseCatalogCourses(catalogDump, first, last)
 	if err != nil {
 		return nil, err
 	}
@@ -119,15 +115,24 @@ func NewFromRegistrarDump(catalogDump io.Reader, schedule io.Reader, firstTerm, 
 		if err != nil {
 			return nil, err
 		}
-		if err := registrar.MergeSchedule(specs, recs); err != nil {
+		if err := registrar.MergeSchedule(courses, recs); err != nil {
 			return nil, err
 		}
 	}
-	cat, err := catalog.FromSpecs(term.TwoSeason, specs)
+	cat, err := catalog.FromCourses(term.TwoSeason, courses)
 	if err != nil {
 		return nil, err
 	}
 	return &Navigator{cat: cat}, nil
+}
+
+// registrarWindow parses a registrar import's schedule window.
+func registrarWindow(firstTerm, lastTerm string) (first, last term.Term, err error) {
+	if first, err = term.Parse(term.TwoSeason, firstTerm); err != nil {
+		return first, last, err
+	}
+	last, err = term.Parse(term.TwoSeason, lastTerm)
+	return first, last, err
 }
 
 // ImportReport aggregates everything a lenient registrar import learned:
@@ -149,20 +154,17 @@ type ImportReport struct {
 // malformed course records, malformed schedule lines and records whose
 // prerequisites dangle (reference courses absent from — or quarantined
 // out of — the dump) are dropped with diagnostics instead of failing the
-// import, and the surviving catalog is integrity-validated. The error is
-// non-nil only when the input is unreadable, the window invalid, or no
-// importable course survives quarantine.
+// import, and the surviving catalog is integrity-validated. A course
+// whose schedule lists a term more than once imports with the term once
+// and a warning. The error is non-nil only when the input is unreadable,
+// the window invalid, or no importable course survives quarantine.
 func NewFromRegistrarDumpLenient(catalogDump io.Reader, schedule io.Reader, firstTerm, lastTerm string) (*Navigator, *ImportReport, error) {
-	first, err := term.Parse(term.TwoSeason, firstTerm)
-	if err != nil {
-		return nil, nil, err
-	}
-	last, err := term.Parse(term.TwoSeason, lastTerm)
+	first, last, err := registrarWindow(firstTerm, lastTerm)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep := &ImportReport{}
-	specs, diags, err := registrar.ParseCatalogDumpLenient(catalogDump, first, last)
+	courses, diags, err := registrar.ParseCatalogCoursesLenient(catalogDump, first, last)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -177,17 +179,22 @@ func NewFromRegistrarDumpLenient(catalogDump io.Reader, schedule io.Reader, firs
 			return nil, nil, err
 		}
 		rep.Diagnostics = append(rep.Diagnostics, sdiags...)
-		rep.Diagnostics = append(rep.Diagnostics, registrar.MergeScheduleLenient(specs, recs)...)
+		rep.Diagnostics = append(rep.Diagnostics, registrar.MergeScheduleLenient(courses, recs)...)
 	}
-	// Spec-level integrity gate: quarantine records catalog construction
-	// would reject (dangling or self prerequisites, duplicates), to a
-	// fixpoint — dropping a course can orphan references to it.
-	clean, dropped, issues := integrity.QuarantineSpecs(term.TwoSeason, specs)
+	// Integrity gate on the parsed courses: quarantine records catalog
+	// construction would reject (dangling or self prerequisites,
+	// duplicates), to a fixpoint — dropping a course can orphan
+	// references to it.
+	clean, dropped, issues := integrity.QuarantineCourses(term.TwoSeason, courses)
 	for _, is := range issues {
+		sev := registrar.SevError
+		if is.Severity == integrity.Warning {
+			sev = registrar.SevWarning
+		}
 		rep.Diagnostics = append(rep.Diagnostics, registrar.Diagnostic{
 			Course:   is.Course,
 			Field:    "integrity",
-			Severity: registrar.SevError,
+			Severity: sev,
 			Msg:      is.Detail,
 		})
 	}
@@ -195,7 +202,7 @@ func NewFromRegistrarDumpLenient(catalogDump io.Reader, schedule io.Reader, firs
 	if len(clean) == 0 {
 		return nil, nil, fmt.Errorf("coursenav: no importable course records (%d quarantined)", len(rep.Quarantined))
 	}
-	cat, err := catalog.FromSpecs(term.TwoSeason, clean)
+	cat, err := catalog.FromCourses(term.TwoSeason, clean)
 	if err != nil {
 		return nil, nil, err
 	}

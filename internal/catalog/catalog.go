@@ -11,7 +11,7 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bitset"
@@ -68,8 +68,8 @@ func NewBuilder(cal *term.Calendar) *Builder {
 	return &Builder{cal: cal, seen: map[string]int{}}
 }
 
-// Add appends a course. Errors (duplicate ID, foreign-calendar offerings)
-// are deferred to Build.
+// Add appends a course, its offerings sorted with repeated terms dropped.
+// Errors (duplicate ID, foreign-calendar offerings) are deferred to Build.
 func (b *Builder) Add(c Course) *Builder {
 	if b.err != nil {
 		return b
@@ -91,8 +91,12 @@ func (b *Builder) Add(c Course) *Builder {
 	if c.Prereq == nil {
 		c.Prereq = expr.True{}
 	}
+	// A schedule is a set: keep each term once, in order.
 	c.Offered = append([]term.Term(nil), c.Offered...)
-	sort.Slice(c.Offered, func(i, j int) bool { return c.Offered[i].Before(c.Offered[j]) })
+	if !slices.IsSortedFunc(c.Offered, term.Term.Compare) {
+		slices.SortFunc(c.Offered, term.Term.Compare)
+	}
+	c.Offered = slices.CompactFunc(c.Offered, term.Term.Equal)
 	b.seen[c.ID] = len(b.courses)
 	b.courses = append(b.courses, c)
 	return b

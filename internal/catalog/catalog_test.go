@@ -351,3 +351,19 @@ func BenchmarkOfferedFromSuffix(b *testing.B) {
 		}
 	}
 }
+
+// TestBuilderDropsRepeatedOfferings: a schedule is a set, so a term
+// listed twice is offered once.
+func TestBuilderDropsRepeatedOfferings(t *testing.T) {
+	offered := []term.Term{f12, f11, f12, s12, f11}
+	cat := NewBuilder(term.TwoSeason).Add(Course{ID: "A1", Offered: offered}).MustBuild()
+	if got, want := cat.Course(0).Offered, []term.Term{f11, s12, f12}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Offered = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(offered, []term.Term{f12, f11, f12, s12, f11}) {
+		t.Errorf("Add rewrote the caller's slice: %v", offered)
+	}
+	if got := cat.Specs()[0].Offered; !reflect.DeepEqual(got, []string{"Fall 2011", "Spring 2012", "Fall 2012"}) {
+		t.Errorf("spec offered = %q", got)
+	}
+}

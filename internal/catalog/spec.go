@@ -9,10 +9,9 @@ import (
 	"repro/internal/term"
 )
 
-// CourseSpec is the serialisable form of a Course, as produced by the
-// registrar parsers and consumed by the HTTP service and CLI. Prereq uses
-// the textual prerequisite language of internal/expr; Offered uses term
-// labels ("Fall 2011").
+// CourseSpec is the serialisable form of a Course (see Course.Spec), as
+// consumed by the HTTP service and CLI. Prereq uses the textual prerequisite language of
+// internal/expr; Offered uses term labels ("Fall 2011").
 type CourseSpec struct {
 	ID       string   `json:"id"`
 	Title    string   `json:"title,omitempty"`
@@ -21,29 +20,51 @@ type CourseSpec struct {
 	Workload float64  `json:"workload,omitempty"`
 }
 
-// FromSpecs builds a Catalog from serialised course specs.
+// Spec returns the serialisable form of c: the prerequisite rendered in
+// the expr grammar ("" for none) and the offerings as term labels (nil
+// for none).
+func (c Course) Spec() CourseSpec {
+	sp := CourseSpec{ID: c.ID, Title: c.Title, Workload: c.Workload}
+	if _, isTrue := c.Prereq.(expr.True); c.Prereq != nil && !isTrue {
+		sp.Prereq = c.Prereq.String()
+	}
+	if len(c.Offered) > 0 {
+		sp.Offered = make([]string, len(c.Offered))
+		for j, t := range c.Offered {
+			sp.Offered[j] = t.Label()
+		}
+	}
+	return sp
+}
+
+// FromSpecs builds a Catalog from serialised course specs: it parses
+// every prerequisite and each distinct term label once, and builds the
+// courses as FromCourses does.
 func FromSpecs(cal *term.Calendar, specs []CourseSpec) (*Catalog, error) {
-	b := NewBuilder(cal)
-	for _, sp := range specs {
+	labels := term.NewLabels(cal)
+	courses := make([]Course, len(specs))
+	for i, sp := range specs {
 		q, err := expr.Parse(sp.Prereq)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: course %q: %v", sp.ID, err)
 		}
-		offered := make([]term.Term, 0, len(sp.Offered))
-		for _, lbl := range sp.Offered {
-			t, err := term.Parse(cal, lbl)
-			if err != nil {
+		offered := make([]term.Term, len(sp.Offered))
+		for j, lbl := range sp.Offered {
+			if offered[j], err = labels.Parse(lbl); err != nil {
 				return nil, fmt.Errorf("catalog: course %q: %v", sp.ID, err)
 			}
-			offered = append(offered, t)
 		}
-		b.Add(Course{
-			ID:       sp.ID,
-			Title:    sp.Title,
-			Prereq:   q,
-			Offered:  offered,
-			Workload: sp.Workload,
-		})
+		courses[i] = Course{ID: sp.ID, Title: sp.Title, Prereq: q, Offered: offered, Workload: sp.Workload}
+	}
+	return FromCourses(cal, courses)
+}
+
+// FromCourses builds a Catalog from parsed courses, in order, through a
+// Builder.
+func FromCourses(cal *term.Calendar, courses []Course) (*Catalog, error) {
+	b := &Builder{cal: cal, courses: make([]Course, 0, len(courses)), seen: make(map[string]int, len(courses))}
+	for _, c := range courses {
+		b.Add(c)
 	}
 	return b.Build()
 }
@@ -53,19 +74,10 @@ func FromSpecs(cal *term.Calendar, specs []CourseSpec) (*Catalog, error) {
 func (c *Catalog) Specs() []CourseSpec {
 	out := make([]CourseSpec, len(c.courses))
 	for i, course := range c.courses {
-		sp := CourseSpec{
-			ID:       course.ID,
-			Title:    course.Title,
-			Workload: course.Workload,
-			Offered:  make([]string, len(course.Offered)),
+		out[i] = course.Spec()
+		if out[i].Offered == nil {
+			out[i].Offered = []string{}
 		}
-		if _, isTrue := course.Prereq.(expr.True); !isTrue {
-			sp.Prereq = course.Prereq.String()
-		}
-		for j, t := range course.Offered {
-			sp.Offered[j] = t.Label()
-		}
-		out[i] = sp
 	}
 	return out
 }

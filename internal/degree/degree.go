@@ -314,6 +314,17 @@ func Memoize(g Goal) Goal {
 	return &memoGoal{base: g, rel: g.Relevant(), cache: map[bitset.CompactKey]memoEntry{}}
 }
 
+// Unwrap returns the goal a Memoize wrapper caches answers for, or g
+// itself when g is not such a wrapper. A wrapper is single-goroutine, so
+// code that fans a goal out to goroutines gives each the unwrapped goal to
+// memoise on its own.
+func Unwrap(g Goal) Goal {
+	if m, ok := g.(*memoGoal); ok {
+		return m.base
+	}
+	return g
+}
+
 func (m *memoGoal) key(x bitset.Set) bitset.CompactKey {
 	m.scratch.CopyFrom(x)
 	m.scratch.IntersectInPlace(m.rel)

@@ -98,17 +98,19 @@ func (e *engine) wrapPruner(p Pruner) Pruner {
 }
 
 // memoised returns the engine's shared memoising wrapper when g is the
-// engine's own goal (the common case: PaperPruners and classify share one
-// goal, and sharing the wrapper shares the cache), or a fresh per-engine
-// wrapper otherwise.
+// engine's own goal, memoised or not (the common case: PaperPruners and
+// classify share one goal, and sharing the wrapper shares the cache), or a
+// fresh per-engine wrapper otherwise. A pruner's goal the caller memoised
+// is never reused as it is: parallel workers share the caller's pruners,
+// and a wrapper is single-goroutine.
 func (e *engine) memoised(g degree.Goal) degree.Goal {
 	if g == nil {
 		return nil
 	}
-	if sameGoal(g, e.rawGoal) {
+	if sameGoal(degree.Unwrap(g), degree.Unwrap(e.rawGoal)) {
 		return e.goal
 	}
-	return degree.Memoize(g)
+	return degree.Memoize(degree.Unwrap(g))
 }
 
 // sameGoal reports whether two goals are the identical value, guarding the

@@ -3,6 +3,8 @@ package explore
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/degree"
 )
 
 // Parallel DAG construction: the build proceeds level by level — every
@@ -38,7 +40,7 @@ func (b *dagBuilder) buildParallel(workers int) {
 
 	ws := make([]*dagBuilder, workers)
 	for i := range ws {
-		sub := newEngine(e.cat, e.end, e.rawGoal, e.rawPruners, e.opt)
+		sub := newEngine(e.cat, e.end, degree.Unwrap(e.rawGoal), e.rawPruners, e.opt)
 		sub.memo = nil
 		sub.ctl = e.ctl // one control spans the whole pool
 		w := newDAGBuilder(sub, b.mode)

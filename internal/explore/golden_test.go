@@ -42,10 +42,6 @@ type goldenGoal struct {
 	name    string
 	goal    degree.Goal // nil: a deadline-driven run
 	pruners bool        // run with the paper's pruners
-	// serial skips the parallel build: a goal the caller already memoised
-	// is handed unchanged to every worker, and the memo is single-goroutine
-	// (ROADMAP item 4).
-	serial bool
 }
 
 // goldenGoals builds the goal shapes over a generated catalog: none,
@@ -73,7 +69,7 @@ func goldenGoals(t testing.TB, cat *catalog.Catalog, req *degree.Requirement) []
 	return []goldenGoal{
 		{name: "none"},
 		{name: "req", goal: req, pruners: true},
-		{name: "overlap-memo", goal: degree.Memoize(overlap), pruners: true, serial: true},
+		{name: "overlap-memo", goal: degree.Memoize(overlap), pruners: true},
 		{name: "set", goal: set, pruners: true},
 		{name: "expr", goal: ex, pruners: true},
 		{name: "not", goal: notGoal{need: cat.MustSetOf(id(n - 1)), avoid: cat.MustSetOf(id(n / 2))}},
@@ -154,11 +150,9 @@ func dagGoldenLines(t testing.TB) []string {
 					budgeted := opt
 					budgeted.Budget.MaxPaths = max(full.Edges/4, 1)
 					fmt.Fprintf(&b, " maxpaths %s |", resultLine(count(budgeted)))
-					if !gg.serial {
-						par := opt
-						par.Workers = 2
-						fmt.Fprintf(&b, " workers %s |", resultLine(count(par)))
-					}
+					par := opt
+					par.Workers = 2
+					fmt.Fprintf(&b, " workers %s |", resultLine(count(par)))
 					if gg.goal == nil {
 						lines = append(lines, b.String())
 						continue
@@ -215,7 +209,9 @@ func dagGoldenLines(t testing.TB) []string {
 // multi-horizon, shared-counter and what-if answers — and the ranked
 // search's effort and paths to a recording made before the deadline
 // semester was folded in closed form and before ranked search derived
-// option sets on pop.
+// option sets on pop. The memoised goal's workers entries came later,
+// once parallel workers stopped sharing the caller's memo: each is a copy
+// of that line's serial count.
 func TestDAGGoldenTallies(t *testing.T) {
 	want, err := os.ReadFile("testdata/dag_golden.txt")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/bitset"
+	"repro/internal/degree"
 	"repro/internal/status"
 )
 
@@ -146,7 +147,7 @@ func (e *engine) countParallel(start status.Status, workers int) ([2]int64, erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sub := newEngine(e.cat, e.end, e.rawGoal, e.rawPruners, e.opt)
+			sub := newEngine(e.cat, e.end, degree.Unwrap(e.rawGoal), e.rawPruners, e.opt)
 			sub.memo = nil
 			sub.shared = shared
 			sub.ctl = e.ctl // one control spans the whole worker pool

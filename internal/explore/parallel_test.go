@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/brandeis"
+	"repro/internal/degree"
 	"repro/internal/status"
 	"repro/internal/term"
 )
@@ -159,5 +160,46 @@ func TestParallelSharedMemoExactness(t *testing.T) {
 	if gPar.Paths != gSerial.Paths || gPar.GoalPaths != gSerial.GoalPaths {
 		t.Errorf("goal merged parallel %d/%d != serial %d/%d",
 			gPar.Paths, gPar.GoalPaths, gSerial.Paths, gSerial.GoalPaths)
+	}
+}
+
+// TestParallelWorkersRewrapMemoisedGoal: a goal the caller already
+// wrapped with degree.Memoize is single-goroutine, so parallel workers
+// must each memoise its base goal rather than share the wrapper. Under
+// -race, sharing it reports the workers' concurrent cache writes. Both
+// parallel builders (the tree walk's and the DAG's) count the serial
+// tallies.
+func TestParallelWorkersRewrapMemoisedGoal(t *testing.T) {
+	cat, req, start, end := goldenCase(t, 1)
+	var overlap degree.Goal
+	for _, gg := range goldenGoals(t, cat, req) {
+		if gg.name == "overlap-memo" {
+			overlap = gg.goal
+		}
+	}
+	if degree.Unwrap(overlap) == overlap {
+		t.Fatal("overlap-memo is not a memoised goal")
+	}
+	for _, sub := range []Substrate{SubstrateTree, SubstrateDAG} {
+		for m := 1; m <= 3; m++ {
+			opt := Options{MaxPerTerm: m, Empty: EmptyAlways, Substrate: sub}
+			pruners := PaperPruners(cat, overlap, m)
+			serial, err := GoalCount(cat, start, end, overlap, pruners, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Workers = 2
+			par, err := GoalCount(cat, start, end, overlap, pruners, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !par.Parallel {
+				t.Fatalf("substrate %v m=%d: run with 2 workers not parallel", sub, m)
+			}
+			if par.Paths != serial.Paths || par.GoalPaths != serial.GoalPaths {
+				t.Errorf("substrate %v m=%d: parallel %d/%d, serial %d/%d",
+					sub, m, par.Paths, par.GoalPaths, serial.Paths, serial.GoalPaths)
+			}
+		}
 	}
 }

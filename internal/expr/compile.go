@@ -108,6 +108,9 @@ func toDNF(e Expr, n int, index func(string) (int, error)) (clauses []bitset.Set
 // (satisfying the subset clause always satisfies the expression) and
 // duplicate clauses.
 func pruneSupersets(clauses []bitset.Set) []bitset.Set {
+	if len(clauses) < 2 {
+		return clauses
+	}
 	out := make([]bitset.Set, 0, len(clauses))
 	for i, c := range clauses {
 		redundant := false

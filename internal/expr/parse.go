@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ParseError is the error type returned by Parse. It carries the byte
@@ -86,66 +87,72 @@ type token struct {
 // the parser so that "COSI 11A" lexes as two words but parses as one
 // reference. Every token records its byte offset in the input.
 func lex(input string) []token {
-	var toks []token
-	i := 0
-	rs := []rune(input)
-	// byteOff[i] is the byte offset of rune i in the input. Ranging over
-	// the string yields true byte indexes — unlike summing RuneLen of the
-	// decoded runes, which drifts on invalid UTF-8 (each bad byte decodes
-	// to the 3-byte replacement rune).
-	byteOff := make([]int, len(rs)+1)
-	j := 0
-	for i := range input {
-		byteOff[j] = i
-		j++
+	toks := make([]token, 0, 8)
+	// A token's text is its slice of valid UTF-8 input. Invalid bytes
+	// decode to utf8.RuneError, one per byte, and text holding them is
+	// spelt with the replacement rune, as a []rune conversion spells it.
+	valid := utf8.ValidString(input)
+	text := func(i, j int) string {
+		if valid {
+			return input[i:j]
+		}
+		return string([]rune(input[i:j]))
 	}
-	byteOff[len(rs)] = len(input)
-	for i < len(rs) {
-		r := rs[i]
+	for i := 0; i < len(input); {
+		r, size := rune(input[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(input[i:])
+		}
 		switch {
 		case unicode.IsSpace(r):
-			i++
+			i += size
 		case r == '(':
-			toks = append(toks, token{kind: tokLParen, text: "(", pos: byteOff[i]})
+			toks = append(toks, token{kind: tokLParen, text: "(", pos: i})
 			i++
 		case r == ')':
-			toks = append(toks, token{kind: tokRParen, text: ")", pos: byteOff[i]})
+			toks = append(toks, token{kind: tokRParen, text: ")", pos: i})
 			i++
 		case r == ',' || r == '&' || r == ';':
-			toks = append(toks, token{kind: tokAnd, text: string(r), pos: byteOff[i]})
+			toks = append(toks, token{kind: tokAnd, text: input[i : i+1], pos: i})
 			i++
 		case r == '|':
-			toks = append(toks, token{kind: tokOr, text: "|", pos: byteOff[i]})
+			toks = append(toks, token{kind: tokOr, text: "|", pos: i})
 			i++
 		case r == '"':
-			j := i + 1
-			for j < len(rs) && rs[j] != '"' {
-				j++
+			j := strings.IndexByte(input[i+1:], '"')
+			if j < 0 {
+				toks = append(toks, token{kind: tokCourse, text: text(i+1, len(input)), quoted: true, pos: i})
+				i = len(input)
+				break
 			}
-			toks = append(toks, token{kind: tokCourse, text: string(rs[i+1 : min(j, len(rs))]), quoted: true, pos: byteOff[i]})
-			if j < len(rs) {
-				j++
-			}
-			i = j
+			toks = append(toks, token{kind: tokCourse, text: text(i+1, i+1+j), quoted: true, pos: i})
+			i += j + 2
 		default:
 			j := i
-			for j < len(rs) && isWordRune(rs[j]) {
-				j++
+			for j < len(input) {
+				r, size := rune(input[j]), 1
+				if r >= utf8.RuneSelf {
+					r, size = utf8.DecodeRuneInString(input[j:])
+				}
+				if !isWordRune(r) {
+					break
+				}
+				j += size
 			}
 			if j == i { // unknown rune: take it as a single-char word
-				j = i + 1
+				j = i + size
 			}
-			word := string(rs[i:j])
-			switch strings.ToLower(word) {
-			case "and":
-				toks = append(toks, token{kind: tokAnd, text: word, pos: byteOff[i]})
-			case "or":
-				toks = append(toks, token{kind: tokOr, text: word, pos: byteOff[i]})
-			case "true", "none":
-				toks = append(toks, token{kind: tokTrue, text: word, pos: byteOff[i]})
-			default:
-				toks = append(toks, token{kind: tokCourse, text: word, pos: byteOff[i]})
+			word := text(i, j)
+			kind := tokCourse
+			switch {
+			case strings.EqualFold(word, "and"):
+				kind = tokAnd
+			case strings.EqualFold(word, "or"):
+				kind = tokOr
+			case strings.EqualFold(word, "true"), strings.EqualFold(word, "none"):
+				kind = tokTrue
 			}
+			toks = append(toks, token{kind: kind, text: word, pos: i})
 			i = j
 		}
 	}
@@ -154,13 +161,6 @@ func lex(input string) []token {
 
 func isWordRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-' || r == '_' || r == '.' || r == '/'
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 type parser struct {
@@ -190,8 +190,9 @@ func (p *parser) errHere(format string, args ...interface{}) *ParseError {
 
 func (p *parser) parseOr() (Expr, error) {
 	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+	if err != nil || p.eof() || p.peek().kind != tokOr {
+		// A lone term is what NewOr(left) returns, up to a copy.
+		return left, err
 	}
 	terms := []Expr{left}
 	for !p.eof() && p.peek().kind == tokOr {
@@ -207,8 +208,9 @@ func (p *parser) parseOr() (Expr, error) {
 
 func (p *parser) parseAnd() (Expr, error) {
 	left, err := p.parseAtom()
-	if err != nil {
-		return nil, err
+	if err != nil || p.eof() || p.peek().kind != tokAnd {
+		// A lone term is what NewAnd(left) returns, up to a copy.
+		return left, err
 	}
 	terms := []Expr{left}
 	for !p.eof() && p.peek().kind == tokAnd {
@@ -247,11 +249,10 @@ func (p *parser) parseAtom() (Expr, error) {
 		if t.quoted {
 			return Course{ID: t.text}, nil
 		}
-		parts := []string{t.text}
-		for !p.eof() && p.peek().kind == tokCourse && !p.peek().quoted && wantsMerge(parts, p.peek().text) {
-			parts = append(parts, p.advance().text)
+		if !p.eof() && p.peek().kind == tokCourse && !p.peek().quoted && wantsMerge(t.text, p.peek().text) {
+			return Course{ID: t.text + " " + p.advance().text}, nil
 		}
-		return Course{ID: strings.Join(parts, " ")}, nil
+		return Course{ID: t.text}, nil
 	case tokRParen:
 		return nil, &ParseError{Offset: t.pos, Token: t.text, Msg: `unexpected ")"`}
 	default:
@@ -259,19 +260,12 @@ func (p *parser) parseAtom() (Expr, error) {
 	}
 }
 
-// wantsMerge reports whether next should join the current course reference.
-// A reference is at most two words: an alphabetic department code followed
-// by an alphanumeric course number ("COSI" + "11A"). Single-word references
-// ("11A", "CS-101") never merge.
-func wantsMerge(parts []string, next string) bool {
-	if len(parts) != 1 {
-		return false
-	}
-	dept := parts[0]
-	if !isAlpha(dept) {
-		return false
-	}
-	return hasDigit(next)
+// wantsMerge reports whether next should join the course reference that
+// begins with word dept. A reference is at most two words: an alphabetic
+// department code followed by an alphanumeric course number ("COSI" +
+// "11A"). Single-word references ("11A", "CS-101") never merge.
+func wantsMerge(dept, next string) bool {
+	return isAlpha(dept) && hasDigit(next)
 }
 
 func isAlpha(s string) bool {

@@ -6,12 +6,14 @@
 // ingestion and every hot reload must prove the data it is about to
 // publish. The package offers two gates:
 //
-//   - CheckSpecs validates serialised course specs before a catalog is
-//     built: syntax of prerequisite expressions, duplicate IDs, dangling
-//     prerequisite references, unparseable term labels. Spec-level errors
-//     would make catalog.FromSpecs fail outright; checking first lets a
-//     lenient importer quarantine exactly the offending records and build
-//     from the rest.
+//   - CheckCourses validates parsed courses before a catalog is built:
+//     empty and duplicate IDs, dangling and self prerequisite references,
+//     offerings off the calendar, repeated offerings. These errors would
+//     make catalog.Build fail outright; checking first lets a lenient
+//     importer quarantine exactly the offending records and build from
+//     the rest. CheckSpecs is the same gate for serialised specs: it
+//     parses each prerequisite and term label, reporting the ones that
+//     do not parse, then runs CheckCourses.
 //
 //   - Check validates a built catalog: prerequisite cycles, logically
 //     unreachable courses, never-offered courses (and prerequisites that
@@ -44,7 +46,7 @@ const (
 	Error Severity = "error"
 )
 
-// Issue codes reported by CheckSpecs and Check.
+// Issue codes reported by CheckCourses, CheckSpecs and Check.
 const (
 	CodeDuplicate          = "duplicate-course"
 	CodeBadID              = "bad-course-id"
@@ -149,92 +151,146 @@ func (r *Report) finish() {
 	})
 }
 
-// CheckSpecs validates serialised course specs before catalog build. It
-// finds exactly the defects that would make catalog.FromSpecs or
-// catalog.Build fail — empty/duplicate IDs, unparseable prerequisite
-// expressions, dangling prerequisite references, bad term labels — plus
-// advisory anomalies (duplicate offerings). A lenient importer drops the
-// courses named by Report.ErrorCourses and re-checks until clean; see
-// QuarantineSpecs.
-func CheckSpecs(cal *term.Calendar, specs []catalog.CourseSpec) Report {
-	rep := Report{Courses: len(specs)}
-	known := make(map[string]bool, len(specs))
-	for _, sp := range specs {
-		if sp.ID != "" {
-			known[sp.ID] = true
+// CheckCourses validates parsed courses before catalog build. It finds
+// exactly the defects that would make catalog.Build fail — empty or
+// duplicate IDs, dangling or self prerequisite references, offerings
+// outside the calendar — plus advisory anomalies (an offering listed more
+// than once, which Build drops). A lenient importer drops the courses
+// named by Report.ErrorCourses and re-checks until clean; see
+// QuarantineCourses.
+func CheckCourses(cal *term.Calendar, courses []catalog.Course) Report {
+	rep := Report{Courses: len(courses)}
+	known := make(map[string]bool, len(courses))
+	for _, c := range courses {
+		if c.ID != "" {
+			known[c.ID] = true
 		}
 	}
-	seen := map[string]bool{}
-	for _, sp := range specs {
-		if sp.ID == "" {
+	seen := make(map[string]bool, len(courses))
+	offered := map[term.Term]bool{}
+	for _, c := range courses {
+		if c.ID == "" {
 			rep.add(Issue{Code: CodeBadID, Severity: Error, Detail: "course with empty ID"})
 			continue
 		}
-		if seen[sp.ID] {
-			rep.add(Issue{Code: CodeDuplicate, Severity: Error, Course: sp.ID,
-				Detail: fmt.Sprintf("duplicate course %q", sp.ID)})
+		if seen[c.ID] {
+			rep.add(Issue{Code: CodeDuplicate, Severity: Error, Course: c.ID,
+				Detail: fmt.Sprintf("duplicate course %q", c.ID)})
 			continue
 		}
-		seen[sp.ID] = true
-		if sp.Prereq != "" {
-			q, err := expr.Parse(sp.Prereq)
-			if err != nil {
-				rep.add(Issue{Code: CodePrereqSyntax, Severity: Error, Course: sp.ID,
-					Detail: fmt.Sprintf("prerequisite %q: %v", sp.Prereq, err)})
-			} else {
-				var missing []string
-				selfRef := false
-				for _, ref := range expr.Courses(q) {
-					if ref == sp.ID {
-						selfRef = true
-					} else if !known[ref] {
-						missing = append(missing, ref)
-					}
+		seen[c.ID] = true
+		if c.Prereq != nil {
+			var missing []string
+			selfRef := false
+			for _, ref := range expr.Courses(c.Prereq) {
+				if ref == c.ID {
+					selfRef = true
+				} else if !known[ref] {
+					missing = append(missing, ref)
 				}
-				if selfRef {
-					rep.add(Issue{Code: CodeSelfPrereq, Severity: Error, Course: sp.ID,
-						Detail: fmt.Sprintf("course %q lists itself as a prerequisite", sp.ID)})
-				}
-				if len(missing) > 0 {
-					rep.add(Issue{Code: CodeDanglingPrereq, Severity: Error, Course: sp.ID,
-						Related: missing,
-						Detail:  fmt.Sprintf("prerequisite references unknown course(s) %s", strings.Join(missing, ", "))})
-				}
+			}
+			if selfRef {
+				rep.add(Issue{Code: CodeSelfPrereq, Severity: Error, Course: c.ID,
+					Detail: fmt.Sprintf("course %q lists itself as a prerequisite", c.ID)})
+			}
+			if len(missing) > 0 {
+				rep.add(Issue{Code: CodeDanglingPrereq, Severity: Error, Course: c.ID,
+					Related: missing,
+					Detail:  fmt.Sprintf("prerequisite references unknown course(s) %s", strings.Join(missing, ", "))})
 			}
 		}
-		offeredSeen := map[string]bool{}
-		for _, lbl := range sp.Offered {
-			if _, err := term.Parse(cal, lbl); err != nil {
-				rep.add(Issue{Code: CodeBadTerm, Severity: Error, Course: sp.ID,
-					Detail: fmt.Sprintf("offering %q: %v", lbl, err)})
+		clear(offered)
+		for j, t := range c.Offered {
+			if t.IsZero() || t.Calendar() != cal {
+				rep.add(Issue{Code: CodeBadTerm, Severity: Error, Course: c.ID,
+					Detail: fmt.Sprintf("offering %d: term from a different calendar", j)})
 				continue
 			}
-			if offeredSeen[lbl] {
-				rep.add(Issue{Code: CodeDuplicateOffering, Severity: Warning, Course: sp.ID,
-					Detail: fmt.Sprintf("offering %q listed more than once", lbl)})
+			if offered[t] {
+				rep.add(Issue{Code: CodeDuplicateOffering, Severity: Warning, Course: c.ID,
+					Detail: fmt.Sprintf("offering %q listed more than once", t.Label())})
 			}
-			offeredSeen[lbl] = true
+			offered[t] = true
 		}
 	}
 	rep.finish()
 	return rep
 }
 
-// QuarantineSpecs drops every spec CheckSpecs attributes an error to,
-// re-checking until a fixpoint (dropping a course can orphan references to
-// it). It returns the surviving specs, the quarantined course IDs in drop
-// order, and the spec-level issues that caused each drop. The survivors
-// are guaranteed to pass CheckSpecs with no errors.
+// CheckSpecs validates serialised course specs before catalog build:
+// it parses each spec's prerequisite and term labels, reporting
+// unparseable ones (prereq-syntax, bad-term), then runs CheckCourses on
+// what parsed. It finds exactly the defects that would make
+// catalog.FromSpecs fail, plus CheckCourses' advisories; see
+// QuarantineSpecs.
+func CheckSpecs(cal *term.Calendar, specs []catalog.CourseSpec) Report {
+	var parsed []Issue
+	labels := term.NewLabels(cal)
+	courses := make([]catalog.Course, len(specs))
+	seen := make(map[string]bool, len(specs))
+	for i, sp := range specs {
+		courses[i].ID = sp.ID
+		// CheckCourses reports empty and repeated IDs without reading
+		// the rest of the record.
+		if sp.ID == "" || seen[sp.ID] {
+			continue
+		}
+		seen[sp.ID] = true
+		if sp.Prereq != "" {
+			q, err := expr.Parse(sp.Prereq)
+			if err != nil {
+				parsed = append(parsed, Issue{Code: CodePrereqSyntax, Severity: Error, Course: sp.ID,
+					Detail: fmt.Sprintf("prerequisite %q: %v", sp.Prereq, err)})
+			}
+			courses[i].Prereq = q
+		}
+		for _, lbl := range sp.Offered {
+			t, err := labels.Parse(lbl)
+			if err != nil {
+				parsed = append(parsed, Issue{Code: CodeBadTerm, Severity: Error, Course: sp.ID,
+					Detail: fmt.Sprintf("offering %q: %v", lbl, err)})
+				continue
+			}
+			courses[i].Offered = append(courses[i].Offered, t)
+		}
+	}
+	rep := CheckCourses(cal, courses)
+	for _, is := range parsed {
+		rep.add(is)
+	}
+	rep.finish()
+	return rep
+}
+
+// QuarantineCourses drops every course CheckCourses attributes an error
+// to, re-checking until a fixpoint (dropping a course can orphan
+// references to it). It returns the surviving courses, the quarantined
+// course IDs in drop order, and the issues: the errors that caused each
+// drop, then the warnings the survivors carry. The survivors are
+// guaranteed to pass CheckCourses with no errors.
+func QuarantineCourses(cal *term.Calendar, courses []catalog.Course) (clean []catalog.Course, quarantined []string, issues []Issue) {
+	return quarantine(courses, func(c catalog.Course) string { return c.ID },
+		func(cs []catalog.Course) Report { return CheckCourses(cal, cs) })
+}
+
+// QuarantineSpecs is QuarantineCourses over serialised specs, checked by
+// CheckSpecs.
 func QuarantineSpecs(cal *term.Calendar, specs []catalog.CourseSpec) (clean []catalog.CourseSpec, quarantined []string, issues []Issue) {
-	clean = specs
+	return quarantine(specs, func(sp catalog.CourseSpec) string { return sp.ID },
+		func(sps []catalog.CourseSpec) Report { return CheckSpecs(cal, sps) })
+}
+
+// quarantine is the fixpoint behind QuarantineCourses and QuarantineSpecs.
+func quarantine[T any](records []T, id func(T) string, check func([]T) Report) (clean []T, quarantined []string, issues []Issue) {
+	clean = records
 	for {
-		rep := CheckSpecs(cal, clean)
+		rep := check(clean)
 		if rep.OK() {
-			return clean, quarantined, issues
+			return clean, quarantined, append(issues, rep.Issues...)
 		}
 		drop := map[string]bool{}
-		for _, id := range rep.ErrorCourses() {
-			drop[id] = true
+		for _, c := range rep.ErrorCourses() {
+			drop[c] = true
 		}
 		for _, is := range rep.Issues {
 			if is.Severity == Error {
@@ -242,17 +298,17 @@ func QuarantineSpecs(cal *term.Calendar, specs []catalog.CourseSpec) (clean []ca
 			}
 		}
 		quarantined = append(quarantined, rep.ErrorCourses()...)
-		kept := make([]catalog.CourseSpec, 0, len(clean))
+		kept := make([]T, 0, len(clean))
 		dropped := false
-		for _, sp := range clean {
+		for _, r := range clean {
 			// Duplicate IDs: drop every record with the ID, the data is
 			// ambiguous. Empty-ID records carry no course name and are
 			// dropped unconditionally.
-			if sp.ID == "" || drop[sp.ID] {
+			if id(r) == "" || drop[id(r)] {
 				dropped = true
 				continue
 			}
-			kept = append(kept, sp)
+			kept = append(kept, r)
 		}
 		if !dropped {
 			// Errors not attributable to a course (shouldn't happen):

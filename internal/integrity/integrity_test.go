@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/expr"
 	"repro/internal/term"
 )
 
@@ -240,5 +241,47 @@ func TestReportSummaryAndJSONShape(t *testing.T) {
 	}
 	if !(Report{Courses: 3}).OK() {
 		t.Error("clean report not OK")
+	}
+}
+
+// TestCheckCourses: the typed gate reports what Build would reject —
+// empty and duplicate IDs, dangling and self references, offerings off
+// the calendar — and warns on a term offered twice.
+func TestCheckCourses(t *testing.T) {
+	f12 := term.TwoSeason.MustTerm(2012, term.Fall)
+	summer := term.ThreeSeason.MustTerm(2012, term.Summer)
+	courses := []catalog.Course{
+		{ID: "A 1", Offered: []term.Term{f12}},
+		{ID: "A 1"},
+		{ID: "C 1", Prereq: expr.MustParse("Z 9 and A 1")},
+		{ID: "D 1", Prereq: expr.MustParse("D 1 or A 1")},
+		{ID: "E 1", Offered: []term.Term{summer}},
+		{ID: "F 1", Prereq: expr.True{}, Offered: []term.Term{f12, f12.Next(), f12}},
+		{},
+	}
+	rep := CheckCourses(term.TwoSeason, courses)
+	if got, want := issueCodes(rep), "bad-course-id,duplicate-course,dangling-prereq,self-prereq,bad-term,duplicate-offering"; got != want {
+		t.Errorf("issues = %s, want %s", got, want)
+	}
+	if got := strings.Join(rep.ErrorCourses(), ","); got != "A 1,C 1,D 1,E 1" {
+		t.Errorf("ErrorCourses = %s", got)
+	}
+	for _, is := range rep.Issues {
+		if is.Code == CodeDuplicateOffering && is.Detail != `offering "Fall 2012" listed more than once` {
+			t.Errorf("duplicate-offering detail = %q", is.Detail)
+		}
+	}
+
+	// Quarantine keeps the survivors' warnings after the errors behind
+	// each drop.
+	clean, quarantined, issues := QuarantineCourses(term.TwoSeason, courses)
+	if len(clean) != 1 || clean[0].ID != "F 1" {
+		t.Errorf("survivors = %+v, want F 1", clean)
+	}
+	if got := strings.Join(quarantined, ","); got != "A 1,C 1,D 1,E 1" {
+		t.Errorf("quarantined = %s", got)
+	}
+	if last := issues[len(issues)-1]; last.Code != CodeDuplicateOffering || last.Course != "F 1" {
+		t.Errorf("last issue = %+v, want F 1's duplicate-offering warning", last)
 	}
 }

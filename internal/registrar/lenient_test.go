@@ -159,7 +159,7 @@ func TestLenientReadFailure(t *testing.T) {
 }
 
 func TestMergeScheduleLenient(t *testing.T) {
-	specs, err := ParseCatalogDump(strings.NewReader(sampleDump), f11, f13)
+	courses, err := ParseCatalogCourses(strings.NewReader(sampleDump), f11, f13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +167,9 @@ func TestMergeScheduleLenient(t *testing.T) {
 		"COSI 11A": {f11},
 		"COSI 99Z": {f11}, // unknown: its course was never in the dump
 	}
-	diags := MergeScheduleLenient(specs, recs)
-	if len(specs[0].Offered) != 1 || specs[0].Offered[0] != f11.Label() {
-		t.Errorf("merged offerings = %v", specs[0].Offered)
+	diags := MergeScheduleLenient(courses, recs)
+	if len(courses[0].Offered) != 1 || courses[0].Offered[0] != f11 {
+		t.Errorf("merged offerings = %v", courses[0].Offered)
 	}
 	if len(diags) != 1 || diags[0].Severity != SevWarning || diags[0].Course != "COSI 99Z" {
 		t.Errorf("diags = %v, want one warning for COSI 99Z", diags)

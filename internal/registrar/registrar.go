@@ -4,23 +4,34 @@
 // derives each course's offering set S from schedule records and
 // "usually offered" phrases.
 //
-// Input is the plain-text dump format documented per function; the output
-// is []catalog.CourseSpec ready for catalog.FromSpecs. The embedded
+// Input is the plain-text dump format documented per function. The import
+// is one typed pass: ParseCatalogCourses yields catalog.Course values
+// whose prerequisites are parsed expr trees and whose offerings are
+// term.Terms, MergeSchedule overlays parsed schedule records on them, and
+// catalog.FromCourses builds the catalog without printing or re-parsing
+// either. ParseCatalogDump derives the serialisable []catalog.CourseSpec
+// from the same courses for callers that want text. The embedded
 // Brandeis-like dataset (internal/brandeis) ships pre-parsed, but
 // cmd/coursenav can ingest registrar dumps through this package, and the
 // integration tests run the full dump → catalog → explore pipeline.
 //
-// Every parser comes in two modes. The strict functions (ParseCatalogDump,
-// ParseScheduleRecords, ParsePrereq, MergeSchedule) abort on the first
-// malformed record — the right behaviour for curated input. The lenient
-// variants (ParseCatalogDumpLenient, …) quarantine bad records and
-// accumulate structured Diagnostics instead, so one corrupt course in a
-// registrar dump of thousands cannot take down the whole import; real
-// course-prerequisite datasets are full of exactly such defects.
+// ASCII prose is scanned byte by byte; the regexps that define the
+// scanners' matches (courseRef, prereqIntro, offeringPhrase) run only on
+// prose with non-ASCII bytes, where (?i) folds ſ and K into ASCII letters.
+//
+// Every parser comes in two modes. The strict functions
+// (ParseCatalogCourses, ParseScheduleRecords, ParsePrereq, MergeSchedule)
+// abort on the first malformed record — the right behaviour for curated
+// input. The lenient variants (ParseCatalogCoursesLenient, …) quarantine
+// bad records and accumulate structured Diagnostics instead, so one
+// corrupt course in a registrar dump of thousands cannot take down the
+// whole import; real course-prerequisite datasets are full of exactly such
+// defects.
 package registrar
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -36,7 +47,8 @@ import (
 )
 
 // courseRef matches registrar course references like "COSI 11a",
-// "MATH 8 a", "cosi 121b".
+// "MATH 8 a", "cosi 121b". It defines what courseRefAt scans for in ASCII
+// text, and finds references in text with non-ASCII bytes.
 var courseRef = regexp.MustCompile(`(?i)\b([A-Z]{2,5})\s*(\d{1,3})\s*([A-Z]?)\b`)
 
 // NormalizeCourseID canonicalises a course reference to "DEPT NUMLETTER"
@@ -44,83 +56,27 @@ var courseRef = regexp.MustCompile(`(?i)\b([A-Z]{2,5})\s*(\d{1,3})\s*([A-Z]?)\b`
 // course reference.
 func NormalizeCourseID(s string) (string, bool) {
 	s = strings.TrimSpace(s)
-	if isPlainCourseID(s) {
-		return asciiUpper(s), true
+	if !isASCII(s) {
+		m := courseRef.FindStringSubmatch(s)
+		if m == nil || m[0] != s {
+			return "", false
+		}
+		return strings.ToUpper(m[1]) + " " + m[2] + strings.ToUpper(m[3]), true
 	}
-	m := courseRef.FindStringSubmatch(s)
-	if m == nil || m[0] != s {
+	m, ok := courseRefAt(s, 0)
+	if !ok || m.end != len(s) {
 		return "", false
 	}
-	return strings.ToUpper(m[1]) + " " + m[2] + strings.ToUpper(m[3]), true
+	if m.num == m.deptEnd+1 && s[m.deptEnd] == ' ' && m.letter == m.numEnd {
+		// Already "DEPT NUMLETTER" up to letter case.
+		return asciiUpper(s), true
+	}
+	return asciiUpper(m.dept(s)) + " " + m.number(s) + asciiUpper(m.section(s)), true
 }
 
-// isPlainCourseID reports whether s has the form registrars emit:
-// ASCII LETTERS{2,5}, exactly one space, DIGITS{1,3} and an optional
-// ASCII letter. courseRef matches such an s whole, with the space as its
-// only separator, so its canonical form is s in upper case. Every other
-// form (other whitespace, no space, letters that (?i) folds from outside
-// ASCII such as ſ and K) is left to courseRef.
-func isPlainCourseID(s string) bool {
-	i := 0
-	for i < len(s) && isASCIILetter(s[i]) {
-		i++
-	}
-	if i < 2 || i > 5 || i == len(s) || s[i] != ' ' {
-		return false
-	}
-	i++
-	j := i
-	for j < len(s) && s[j] >= '0' && s[j] <= '9' {
-		j++
-	}
-	if j == i || j-i > 3 {
-		return false
-	}
-	return j == len(s) || (j == len(s)-1 && isASCIILetter(s[j]))
-}
-
-func isASCIILetter(b byte) bool { return b|0x20 >= 'a' && b|0x20 <= 'z' }
-
-// asciiUpper upper-cases an ASCII string, returning s itself when it has
-// no lower-case letters.
-func asciiUpper(s string) string {
-	i := 0
-	for i < len(s) && (s[i] < 'a' || s[i] > 'z') {
-		i++
-	}
-	if i == len(s) {
-		return s
-	}
-	b := []byte(s)
-	for ; i < len(b); i++ {
-		if b[i] >= 'a' && b[i] <= 'z' {
-			b[i] -= 'a' - 'A'
-		}
-	}
-	return string(b)
-}
-
-// mayContainFold reports whether prose can contain word (lower-case
-// ASCII) under (?i) matching. It is false only for all-ASCII prose
-// without word in any letter case; non-ASCII prose may spell word with
-// letters that fold into ASCII (ſ for s, K for k), so it reports true.
-// The Prerequisite and Schedule parsers use it to skip their regexps on
-// descriptions that cannot match.
-func mayContainFold(prose, word string) bool {
-	for i := 0; i < len(prose); i++ {
-		if prose[i] >= utf8.RuneSelf {
-			return true
-		}
-	}
-	for i := 0; i+len(word) <= len(prose); i++ {
-		if strings.EqualFold(prose[i:i+len(word)], word) {
-			return true
-		}
-	}
-	return false
-}
-
-// prereqIntro locates the prerequisite sentence inside course prose.
+// prereqIntro locates the prerequisite sentence inside course prose. It
+// defines what prereqIntroAt scans for in ASCII prose, and finds the
+// sentence in prose with non-ASCII bytes.
 var prereqIntro = regexp.MustCompile(`(?i)\bprerequisites?\b\s*:?\s*`)
 
 // noise phrases the Prerequisite Parser drops from the prerequisite
@@ -185,10 +141,6 @@ func connectiveAt(s string, i int) int {
 	return 0
 }
 
-// isWordByte reports whether b is an ASCII word character, the class a
-// regexp \b tests; bytes of non-ASCII runes are never word characters.
-func isWordByte(b byte) bool { return isASCIILetter(b) || b >= '0' && b <= '9' || b == '_' }
-
 // reservedWords are expression-grammar keywords that the reference
 // matcher must never treat as department codes.
 var reservedWords = map[string]bool{"and": true, "or": true, "true": true, "none": true}
@@ -211,14 +163,11 @@ var fillerWords = []string{"courses", "course", "both", "either", "completion of
 // no-prerequisite tautology. A failure is reported as *PrereqError, which
 // carries the byte offset and text of the offending fragment.
 func ParsePrereq(prose string) (expr.Expr, error) {
-	if !mayContainFold(prose, "prerequisite") {
+	start, ok := prereqStart(prose)
+	if !ok {
 		return expr.True{}, nil
 	}
-	loc := prereqIntro.FindStringIndex(prose)
-	if loc == nil {
-		return expr.True{}, nil
-	}
-	sentence := prose[loc[1]:]
+	sentence := prose[start:]
 	// The sentence ends at the first period that is not inside a course
 	// number ("COSI 11a." ends it; decimals do not occur).
 	if i := strings.IndexAny(sentence, ".;\n"); i >= 0 {
@@ -261,46 +210,84 @@ func ParsePrereq(prose string) (expr.Expr, error) {
 	return e, nil
 }
 
+// prereqStart returns where the prerequisite sentence in prose begins:
+// the end of prereqIntro's first match.
+func prereqStart(prose string) (int, bool) {
+	if isASCII(prose) {
+		return prereqIntroAt(prose)
+	}
+	loc := prereqIntro.FindStringIndex(prose)
+	if loc == nil {
+		return 0, false
+	}
+	return loc[1], true
+}
+
 // quoteCourseRefs canonicalises and quotes every course reference in a
 // prerequisite sentence so the expr parser sees clean two-word IDs.
 // Connectives followed by digits ("or 2 semesters") are not references.
 //
-// One courseRef pass finds the references and their parts. A reference's
-// canonical form is defined by matching it alone. One that begins and
-// ends with an ASCII character matches alone exactly as it matched in the
-// sentence, parts included, so its parts are used as found. One that
-// begins or ends with a non-ASCII letter (ſ, which (?i) folds to s) can
-// lose a word boundary alone, so it is re-matched.
+// One courseRef pass finds the references and their parts: the byte
+// scanner on ASCII s, the regexp otherwise. A reference's canonical form
+// is defined by matching it alone. One that begins and ends with an ASCII
+// character matches alone exactly as it matched in the sentence, parts
+// included, so its parts are used as found. One that begins or ends with
+// a non-ASCII letter (ſ, which (?i) folds to s) can lose a word boundary
+// alone, so it is re-matched.
 func quoteCourseRefs(s string) string {
-	refs := courseRef.FindAllStringSubmatchIndex(s, -1)
-	if refs == nil {
+	var buf [16]refMatch
+	refs := buf[:0]
+	if isASCII(s) {
+		refs = appendCourseRefs(refs, s)
+	} else {
+		for _, m := range courseRef.FindAllStringSubmatchIndex(s, -1) {
+			refs = append(refs, refMatch{m[0], m[3], m[4], m[5], m[6], m[7]})
+		}
+	}
+	if len(refs) == 0 {
 		return s
 	}
 	var b strings.Builder
-	b.Grow(len(s) + 2*len(refs))
+	b.Grow(len(s) + 3*len(refs))
 	last := 0
 	for _, m := range refs {
-		b.WriteString(s[last:m[0]])
-		last = m[1]
-		ref := s[m[0]:m[1]]
+		b.WriteString(s[last:m.start])
+		last = m.end
+		ref := s[m.start:m.end]
 		if ref[0] >= utf8.RuneSelf || ref[len(ref)-1] >= utf8.RuneSelf {
 			b.WriteString(quoteRefAlone(ref))
 			continue
 		}
-		dept := s[m[2]:m[3]]
+		dept := m.dept(s)
 		if reservedWords[strings.ToLower(dept)] {
 			b.WriteString(ref)
 			continue
 		}
 		b.WriteByte('"')
-		b.WriteString(strings.ToUpper(dept))
+		writeUpper(&b, dept)
 		b.WriteByte(' ')
-		b.WriteString(s[m[4]:m[5]])
-		b.WriteString(strings.ToUpper(s[m[6]:m[7]]))
+		b.WriteString(m.number(s))
+		writeUpper(&b, m.section(s))
 		b.WriteByte('"')
 	}
 	b.WriteString(s[last:])
 	return b.String()
+}
+
+// writeUpper writes strings.ToUpper(s) to b, without the intermediate
+// string when s is ASCII.
+func writeUpper(b *strings.Builder, s string) {
+	if !isASCII(s) {
+		b.WriteString(strings.ToUpper(s))
+		return
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
 }
 
 // quoteRefAlone is quoteCourseRefs' rule for one reference matched on
@@ -334,7 +321,9 @@ func ParsePrereqLenient(prose string) (expr.Expr, []Diagnostic) {
 	}}
 }
 
-// offeringPhrase matches "usually offered every ..." scheduling prose.
+// offeringPhrase matches "usually offered every ..." scheduling prose. It
+// defines what offeringKindAt scans for in ASCII prose, and finds the
+// phrase in prose with non-ASCII bytes.
 var offeringPhrase = regexp.MustCompile(`(?i)(?:usually\s+)?offered\s+every\s+(semester|year|fall|spring|second\s+year)`)
 
 // ParseOfferingPhrase expands a catalog scheduling phrase over the window
@@ -349,14 +338,10 @@ var offeringPhrase = regexp.MustCompile(`(?i)(?:usually\s+)?offered\s+every\s+(s
 //
 // ok=false means the prose contains no recognised phrase.
 func ParseOfferingPhrase(prose string, first, last term.Term) (offered []term.Term, ok bool) {
-	if !mayContainFold(prose, "offered") {
+	kind, ok := offeringKind(prose)
+	if !ok {
 		return nil, false
 	}
-	m := offeringPhrase.FindStringSubmatch(prose)
-	if m == nil {
-		return nil, false
-	}
-	kind := strings.Join(strings.Fields(strings.ToLower(m[1])), " ")
 	fallCount := 0
 	for t := first; !t.After(last); t = t.Next() {
 		keep := false
@@ -380,6 +365,20 @@ func ParseOfferingPhrase(prose string, first, last term.Term) (offered []term.Te
 	return offered, true
 }
 
+// offeringKind returns offeringPhrase's first match's kind in prose, in
+// lower case with single spaces: "semester", "year", "fall", "spring" or
+// "second year".
+func offeringKind(prose string) (string, bool) {
+	if isASCII(prose) {
+		return offeringKindAt(prose)
+	}
+	m := offeringPhrase.FindStringSubmatch(prose)
+	if m == nil {
+		return "", false
+	}
+	return strings.Join(strings.Fields(strings.ToLower(m[1])), " "), true
+}
+
 // ParseScheduleRecords parses a class-schedule dump: one "COURSE | TERM"
 // record per line ("COSI 11A | Fall 2011"), '#' comments and blank lines
 // ignored. It returns offerings per normalised course ID, aborting on the
@@ -398,7 +397,6 @@ func ParseScheduleRecordsLenient(r io.Reader, cal *term.Calendar) (map[string][]
 }
 
 func parseScheduleRecords(r io.Reader, cal *term.Calendar, lenient bool) (map[string][]term.Term, []Diagnostic, error) {
-	out := map[string][]term.Term{}
 	var diags []Diagnostic
 	// quarantine records the line's defect (lenient) or aborts (strict).
 	quarantine := func(lineNo int, course, format string, args ...interface{}) error {
@@ -411,44 +409,71 @@ func parseScheduleRecords(r io.Reader, cal *term.Calendar, lenient bool) (map[st
 		}
 		return fmt.Errorf("registrar: schedule line %d: %s", lineNo, fmt.Sprintf(format, args...))
 	}
+	// A schedule spells each course and a few term labels over many
+	// records: normalise and parse each distinct spelling once.
+	ids := map[string]string{}
+	labels := term.NewLabels(cal)
+	type record struct {
+		id string
+		t  term.Term
+	}
+	var recs []record
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		course, label, found := strings.Cut(line, "|")
+		course, label, found := bytes.Cut(line, []byte("|"))
 		if !found {
 			if err := quarantine(lineNo, "", "want \"COURSE | TERM\", got %q", line); err != nil {
 				return nil, diags, err
 			}
 			continue
 		}
-		id, ok := NormalizeCourseID(course)
+		id, ok := ids[string(course)]
 		if !ok {
-			if err := quarantine(lineNo, "", "bad course reference %q", course); err != nil {
-				return nil, diags, err
+			spelling := string(course)
+			if id, ok = NormalizeCourseID(spelling); !ok {
+				if err := quarantine(lineNo, "", "bad course reference %q", spelling); err != nil {
+					return nil, diags, err
+				}
+				continue
 			}
-			continue
+			ids[spelling] = id
 		}
-		t, err := term.Parse(cal, label)
+		t, err := labels.ParseBytes(label)
 		if err != nil {
 			if err := quarantine(lineNo, id, "%v", err); err != nil {
 				return nil, diags, err
 			}
 			continue
 		}
-		out[id] = append(out[id], t)
+		recs = append(recs, record{id, t})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, diags, fmt.Errorf("registrar: reading schedule: %w", err)
 	}
+	// Group the records by course, in input order, over one backing array.
+	n := make(map[string]int, len(ids))
+	for _, rc := range recs {
+		n[rc.id]++
+	}
+	out := make(map[string][]term.Term, len(n))
+	backing := make([]term.Term, len(recs))
+	for _, rc := range recs {
+		ts, ok := out[rc.id]
+		if !ok {
+			ts, backing = backing[:0:n[rc.id]], backing[n[rc.id]:]
+		}
+		out[rc.id] = append(ts, rc.t)
+	}
 	return out, diags, nil
 }
 
-// ParseCatalogDump parses a registrar catalog dump into course specs. The
+// ParseCatalogCourses parses a registrar catalog dump into courses. The
 // format is block-per-course, keys "course:", "title:", "description:",
 // "workload:", blocks separated by blank lines:
 //
@@ -463,33 +488,62 @@ func parseScheduleRecords(r io.Reader, cal *term.Calendar, lenient bool) (map[st
 // records (ParseScheduleRecords) may be merged on top via MergeSchedule.
 // Offerings from phrases are expanded over [first, last]. The first
 // malformed record (including a duplicate course ID) aborts the parse;
-// use ParseCatalogDumpLenient to quarantine bad records instead.
-func ParseCatalogDump(r io.Reader, first, last term.Term) ([]catalog.CourseSpec, error) {
-	specs, _, err := parseCatalogDump(r, first, last, false)
-	return specs, err
+// use ParseCatalogCoursesLenient to quarantine bad records instead.
+func ParseCatalogCourses(r io.Reader, first, last term.Term) ([]catalog.Course, error) {
+	courses, _, err := parseCatalogDump(r, first, last, false)
+	return courses, err
 }
 
-// ParseCatalogDumpLenient is ParseCatalogDump in lenient mode: a malformed
-// record (unparseable course ID, bad workload, unknown key, prerequisite
-// prose the grammar rejects, duplicate course ID) is quarantined — dropped
-// from the returned specs — with error-severity Diagnostics identifying
-// the defective lines, while every well-formed record still imports. The
-// error is non-nil only when reading r fails, the window is invalid, or
-// the dump contains no course records at all.
-func ParseCatalogDumpLenient(r io.Reader, first, last term.Term) ([]catalog.CourseSpec, []Diagnostic, error) {
+// ParseCatalogCoursesLenient is ParseCatalogCourses in lenient mode: a
+// malformed record (unparseable course ID, bad workload, unknown key,
+// prerequisite prose the grammar rejects, duplicate course ID) is
+// quarantined — dropped from the returned courses — with error-severity
+// Diagnostics identifying the defective lines, while every well-formed
+// record still imports. The error is non-nil only when reading r fails,
+// the window is invalid, or the dump contains no course records at all.
+func ParseCatalogCoursesLenient(r io.Reader, first, last term.Term) ([]catalog.Course, []Diagnostic, error) {
 	return parseCatalogDump(r, first, last, true)
 }
 
-func parseCatalogDump(r io.Reader, first, last term.Term, lenient bool) ([]catalog.CourseSpec, []Diagnostic, error) {
+// ParseCatalogDump is ParseCatalogCourses returning each course in its
+// serialised form (catalog.Course.Spec), offerings nil when there are
+// none.
+func ParseCatalogDump(r io.Reader, first, last term.Term) ([]catalog.CourseSpec, error) {
+	courses, err := ParseCatalogCourses(r, first, last)
+	return specs(courses), err
+}
+
+// ParseCatalogDumpLenient is ParseCatalogCoursesLenient returning each
+// course in its serialised form, as ParseCatalogDump does.
+func ParseCatalogDumpLenient(r io.Reader, first, last term.Term) ([]catalog.CourseSpec, []Diagnostic, error) {
+	courses, diags, err := ParseCatalogCoursesLenient(r, first, last)
+	return specs(courses), diags, err
+}
+
+// specs returns the serialised form of courses, nil for none.
+func specs(courses []catalog.Course) []catalog.CourseSpec {
+	if len(courses) == 0 {
+		return nil
+	}
+	out := make([]catalog.CourseSpec, len(courses))
+	for i, c := range courses {
+		out[i] = c.Spec()
+	}
+	return out
+}
+
+func parseCatalogDump(r io.Reader, first, last term.Term, lenient bool) ([]catalog.Course, []Diagnostic, error) {
 	if first.IsZero() || last.IsZero() || first.Calendar() != last.Calendar() {
 		return nil, nil, fmt.Errorf("registrar: invalid schedule window")
 	}
 	var (
-		specs    []catalog.CourseSpec
+		courses  []catalog.Course
 		diags    []Diagnostic
-		cur      *catalog.CourseSpec
-		curBad   bool // lenient: current record is quarantined, drop at flush
-		desc     strings.Builder
+		cur      catalog.Course
+		open     bool   // a record is being read into cur
+		curBad   bool   // lenient: current record is quarantined, drop at flush
+		desc     string // the description while it is one piece, a slice of its line
+		descMore []byte // the description once a second piece arrives
 		lastKey  string
 		seen     = map[string]bool{} // IDs successfully flushed (lenient dedup)
 		courseLn int                 // line of the current record's "course:" key
@@ -497,18 +551,21 @@ func parseCatalogDump(r io.Reader, first, last term.Term, lenient bool) ([]catal
 	)
 
 	flush := func() error {
-		if cur == nil {
+		if !open {
 			return nil
 		}
 		defer func() {
-			cur = nil
+			open = false
 			curBad = false
-			desc.Reset()
+			desc, descMore = "", descMore[:0]
 		}()
 		if curBad {
 			return nil // diagnostics already recorded
 		}
-		prose := desc.String()
+		prose := desc
+		if len(descMore) > 0 {
+			prose = string(descMore)
+		}
 		q, err := ParsePrereq(prose)
 		if err != nil {
 			if !lenient {
@@ -534,16 +591,10 @@ func parseCatalogDump(r io.Reader, first, last term.Term, lenient bool) ([]catal
 			})
 			return nil
 		}
-		if _, isTrue := q.(expr.True); !isTrue {
-			cur.Prereq = q.String()
-		}
-		if offered, ok := ParseOfferingPhrase(prose, first, last); ok {
-			for _, t := range offered {
-				cur.Offered = append(cur.Offered, t.Label())
-			}
-		}
+		cur.Prereq = q
+		cur.Offered, _ = ParseOfferingPhrase(prose, first, last)
 		seen[cur.ID] = true
-		specs = append(specs, *cur)
+		courses = append(courses, cur)
 		return nil
 	}
 
@@ -558,7 +609,7 @@ func parseCatalogDump(r io.Reader, first, last term.Term, lenient bool) ([]catal
 			Line: lineNo, Field: field,
 			Severity: SevError, Msg: fmt.Sprintf(format, args...),
 		}
-		if cur != nil {
+		if open {
 			d.Course = cur.ID
 		}
 		diags = append(diags, d)
@@ -587,8 +638,11 @@ func parseCatalogDump(r io.Reader, first, last term.Term, lenient bool) ([]catal
 		val = strings.TrimSpace(val)
 		isContinuation := !found || strings.HasPrefix(raw, " ") || strings.HasPrefix(raw, "\t")
 		if isContinuation && lastKey == "description" {
-			desc.WriteByte(' ')
-			desc.WriteString(line)
+			if len(descMore) == 0 {
+				descMore = append(descMore, desc...)
+			}
+			descMore = append(descMore, ' ')
+			descMore = append(descMore, line...)
 			continue
 		}
 		switch key {
@@ -604,15 +658,15 @@ func parseCatalogDump(r io.Reader, first, last term.Term, lenient bool) ([]catal
 				}
 				// Poison a placeholder record so the block's remaining
 				// lines attach to it instead of reading as orphans.
-				cur = &catalog.CourseSpec{}
+				cur, open = catalog.Course{}, true
 				curBad = true
 				lastKey = "course"
 				continue
 			}
-			cur = &catalog.CourseSpec{ID: id}
+			cur, open = catalog.Course{ID: id}, true
 			lastKey = "course"
 		case "title":
-			if cur == nil {
+			if !open {
 				if err := reject(lineNo, "key", "%q before course:", key); err != nil {
 					return nil, diags, err
 				}
@@ -621,7 +675,7 @@ func parseCatalogDump(r io.Reader, first, last term.Term, lenient bool) ([]catal
 			cur.Title = val
 			lastKey = "title"
 		case "description":
-			if cur == nil {
+			if !open {
 				if err := reject(lineNo, "key", "%q before course:", key); err != nil {
 					return nil, diags, err
 				}
@@ -630,10 +684,16 @@ func parseCatalogDump(r io.Reader, first, last term.Term, lenient bool) ([]catal
 			if descLn == 0 {
 				descLn = lineNo
 			}
-			desc.WriteString(val)
+			if len(descMore) > 0 {
+				descMore = append(descMore, val...)
+			} else if desc != "" {
+				descMore = append(append(descMore, desc...), val...)
+			} else {
+				desc = val
+			}
 			lastKey = "description"
 		case "workload":
-			if cur == nil {
+			if !open {
 				if err := reject(lineNo, "key", "%q before course:", key); err != nil {
 					return nil, diags, err
 				}
@@ -660,64 +720,58 @@ func parseCatalogDump(r io.Reader, first, last term.Term, lenient bool) ([]catal
 	if err := flush(); err != nil {
 		return nil, diags, err
 	}
-	if len(specs) == 0 && (!lenient || len(diags) == 0) {
+	if len(courses) == 0 && (!lenient || len(diags) == 0) {
 		return nil, diags, fmt.Errorf("registrar: empty catalog dump")
 	}
-	return specs, diags, nil
+	return courses, diags, nil
 }
 
-// MergeSchedule overlays explicit schedule records onto specs: a course
+// MergeSchedule overlays explicit schedule records onto courses: a course
 // with records gets exactly those offerings (records are authoritative
 // over catalog phrases, matching how registrars publish final schedules).
-// Records for unknown courses are an error.
-func MergeSchedule(specs []catalog.CourseSpec, records map[string][]term.Term) error {
-	_, err := mergeSchedule(specs, records, false)
+// The courses share the records' slices. Records for unknown courses are
+// an error.
+func MergeSchedule(courses []catalog.Course, records map[string][]term.Term) error {
+	_, err := mergeSchedule(courses, records, false)
 	return err
 }
 
 // MergeScheduleLenient is MergeSchedule in lenient mode: records for
 // unknown courses are skipped with a warning diagnostic (the course they
 // belonged to may itself have been quarantined) instead of aborting.
-func MergeScheduleLenient(specs []catalog.CourseSpec, records map[string][]term.Term) []Diagnostic {
-	diags, _ := mergeSchedule(specs, records, true)
+func MergeScheduleLenient(courses []catalog.Course, records map[string][]term.Term) []Diagnostic {
+	diags, _ := mergeSchedule(courses, records, true)
 	return diags
 }
 
-func mergeSchedule(specs []catalog.CourseSpec, records map[string][]term.Term, lenient bool) ([]Diagnostic, error) {
-	byID := map[string]int{}
-	for i, sp := range specs {
-		byID[sp.ID] = i
+func mergeSchedule(courses []catalog.Course, records map[string][]term.Term, lenient bool) ([]Diagnostic, error) {
+	byID := make(map[string]int, len(courses))
+	for i, c := range courses {
+		byID[c.ID] = i
 	}
-	var diags []Diagnostic
-	for _, id := range sortedKeys(records) {
-		offered := records[id]
-		i, ok := byID[id]
-		if !ok {
-			if !lenient {
-				return nil, fmt.Errorf("registrar: schedule record for unknown course %q", id)
-			}
-			diags = append(diags, Diagnostic{
-				Course: id, Field: "merge", Severity: SevWarning,
-				Msg: fmt.Sprintf("schedule record for unknown course %q ignored", id),
-			})
-			continue
+	var unknown []string
+	for id, offered := range records {
+		if i, ok := byID[id]; ok {
+			courses[i].Offered = offered
+		} else {
+			unknown = append(unknown, id)
 		}
-		labels := make([]string, len(offered))
-		for j, t := range offered {
-			labels[j] = t.Label()
+	}
+	if len(unknown) == 0 {
+		return nil, nil
+	}
+	// Report unknown courses in ID order, so diagnostics are
+	// deterministic.
+	sort.Strings(unknown)
+	if !lenient {
+		return nil, fmt.Errorf("registrar: schedule record for unknown course %q", unknown[0])
+	}
+	diags := make([]Diagnostic, len(unknown))
+	for i, id := range unknown {
+		diags[i] = Diagnostic{
+			Course: id, Field: "merge", Severity: SevWarning,
+			Msg: fmt.Sprintf("schedule record for unknown course %q ignored", id),
 		}
-		specs[i].Offered = labels
 	}
 	return diags, nil
-}
-
-// sortedKeys returns the map's keys sorted, so lenient diagnostics are
-// deterministic.
-func sortedKeys(m map[string][]term.Term) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -194,7 +194,7 @@ func TestParseCatalogDumpErrors(t *testing.T) {
 }
 
 func TestMergeSchedule(t *testing.T) {
-	specs, err := ParseCatalogDump(strings.NewReader(sampleDump), f11, f13)
+	courses, err := ParseCatalogCourses(strings.NewReader(sampleDump), f11, f13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,16 +202,16 @@ func TestMergeSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := MergeSchedule(specs, recs); err != nil {
+	if err := MergeSchedule(courses, recs); err != nil {
 		t.Fatal(err)
 	}
 	// Records replace phrase-derived offerings entirely.
-	if len(specs[0].Offered) != 1 || specs[0].Offered[0] != "Spring 2012" {
-		t.Errorf("merged offerings = %v", specs[0].Offered)
+	if len(courses[0].Offered) != 1 || courses[0].Offered[0].Label() != "Spring 2012" {
+		t.Errorf("merged offerings = %v", courses[0].Offered)
 	}
 	// Unknown course in records errors.
 	badRecs := map[string][]term.Term{"COSI 99A": {f11}}
-	if err := MergeSchedule(specs, badRecs); err == nil {
+	if err := MergeSchedule(courses, badRecs); err == nil {
 		t.Error("unknown course record accepted")
 	}
 }

@@ -1,8 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"unicode"
 
 	"repro"
 )
@@ -130,4 +136,119 @@ func TestCanonicalizeUnknownCourse(t *testing.T) {
 			t.Errorf("round %d: error response X-Cache = %q, want miss (errors are not cached)", i, got)
 		}
 	}
+}
+
+// seededRequest draws an explore request over the Brandeis catalog: a
+// small window, a few completed and avoided courses and, except for the
+// deadline endpoint, one or two goal courses.
+func seededRequest(rng *rand.Rand, ids []string, endpoint string) *ExploreRequest {
+	pick := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = ids[rng.Intn(len(ids))]
+		}
+		return out
+	}
+	starts := []string{"Fall 2012", "Fall 2013", "Spring 2014"}
+	ends := []string{"Fall 2014", "Spring 2015"}
+	req := &ExploreRequest{Query: QuerySpec{
+		Completed:  pick(rng.Intn(5)),
+		Avoid:      pick(rng.Intn(2)),
+		Start:      starts[rng.Intn(len(starts))],
+		End:        ends[rng.Intn(len(ends))],
+		MaxPerTerm: 1 + rng.Intn(2),
+		CountOnly:  rng.Intn(2) == 0,
+	}}
+	if endpoint != "deadline" {
+		req.Goal = &GoalSpec{Courses: pick(1 + rng.Intn(2))}
+	}
+	return req
+}
+
+// respell rewrites req's course lists as a client might: each list
+// shuffled, every ID's letters in random case and padded with spaces.
+func respell(rng *rand.Rand, req *ExploreRequest) {
+	lists := []*[]string{&req.Query.Completed, &req.Query.Avoid}
+	if req.Goal != nil {
+		lists = append(lists, &req.Goal.Courses)
+	}
+	for _, l := range lists {
+		rng.Shuffle(len(*l), func(i, j int) { (*l)[i], (*l)[j] = (*l)[j], (*l)[i] })
+		for i, id := range *l {
+			b := []byte(id)
+			for k := range b {
+				if rng.Intn(2) == 0 {
+					b[k] = byte(unicode.ToLower(rune(b[k])))
+				}
+			}
+			(*l)[i] = strings.Repeat(" ", rng.Intn(2)) + string(b) + strings.Repeat(" ", rng.Intn(2))
+		}
+	}
+}
+
+// FuzzCanonicalRequest: variants of a seeded explore request that differ
+// only in course-list order, ID letter case and whitespace, in the JSON
+// and around its strings, canonicalise to the same cache key, and the
+// variant sent second is a cache hit with the first response's bytes.
+func FuzzCanonicalRequest(f *testing.F) {
+	nav, _ := coursenav.Brandeis()
+	s := New(nav)
+	var ids []string
+	for _, c := range nav.Courses() {
+		ids = append(ids, c.ID)
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		f.Add(seed, seed+100)
+	}
+	endpoints := []string{"deadline", "goal"}
+	f.Fuzz(func(t *testing.T, seed, variant int64) {
+		endpoint := endpoints[uint64(seed)%uint64(len(endpoints))]
+		base := seededRequest(rand.New(rand.NewSource(seed)), ids, endpoint)
+		body, err := json.Marshal(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(variant))
+		respell(rng, base)
+		respelt, err := json.Marshal(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space := func() string {
+			return strings.Repeat([]string{" ", "\t", "\n", "\r\n"}[rng.Intn(4)], rng.Intn(3))
+		}
+		var spaced bytes.Buffer
+		if err := json.Indent(&spaced, respelt, space(), space()); err != nil {
+			t.Fatal(err)
+		}
+		variantBody := space() + spaced.String() + space()
+
+		key := func(b string) interface{} {
+			var req ExploreRequest
+			if err := json.Unmarshal([]byte(b), &req); err != nil {
+				t.Fatalf("decoding %q: %v", b, err)
+			}
+			return canonKey(t, s, endpoint, &req)
+		}
+		if key(string(body)) != key(variantBody) {
+			t.Fatalf("variant %s of %s has another cache key", variantBody, body)
+		}
+
+		send := func(b string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/explore/"+endpoint, strings.NewReader(b)))
+			return rec
+		}
+		first := send(string(body))
+		if first.Code != http.StatusOK || first.Body.Len() > maxCacheEntryBytes {
+			return // the cache keeps neither errors nor oversized bodies
+		}
+		second := send(variantBody)
+		if got := second.Header().Get("X-Cache"); got != "hit" {
+			t.Fatalf("variant %s: X-Cache = %q, want hit", variantBody, got)
+		}
+		if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+			t.Fatalf("variant %s: body\n%s\nwant\n%s", variantBody, second.Body, first.Body)
+		}
+	})
 }

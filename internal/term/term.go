@@ -309,6 +309,41 @@ func parseYear(s string) (int, error) {
 	return y, nil
 }
 
+// Labels parses term labels against one calendar, each distinct label
+// once: an import repeats a handful of labels over every schedule record.
+// Failures are not remembered, so a bad label reports Parse's error each
+// time. A Labels belongs to one import and is not safe for concurrent use.
+type Labels struct {
+	cal  *Calendar
+	seen map[string]Term
+}
+
+// NewLabels returns an empty Labels for calendar c.
+func NewLabels(c *Calendar) *Labels {
+	return &Labels{cal: c, seen: map[string]Term{}}
+}
+
+// Parse is Parse(c, s), remembered for s.
+func (l *Labels) Parse(s string) (Term, error) {
+	if t, ok := l.seen[s]; ok {
+		return t, nil
+	}
+	t, err := Parse(l.cal, s)
+	if err == nil {
+		l.seen[s] = t
+	}
+	return t, err
+}
+
+// ParseBytes is Parse for the label in b, copying b only on a label's
+// first sighting.
+func (l *Labels) ParseBytes(b []byte) (Term, error) {
+	if t, ok := l.seen[string(b)]; ok {
+		return t, nil
+	}
+	return l.Parse(string(b))
+}
+
 // Range returns the terms from first to last inclusive. It returns nil if
 // the terms belong to different calendars or last precedes first.
 func Range(first, last Term) []Term {
