@@ -6,9 +6,10 @@
 GO ?= go
 
 .PHONY: check vet lint build test race race-short bench bench-smoke fuzz-short \
-	bench-regress bench-baseline bench-e2e routes-guard chaos-short cohort-short
+	bench-regress bench-baseline bench-e2e routes-guard chaos-short cohort-short \
+	perfbench-check
 
-check: lint build routes-guard chaos-short cohort-short race-short race fuzz-short bench-smoke bench-regress
+check: lint build perfbench-check routes-guard chaos-short cohort-short race-short race fuzz-short bench-smoke bench-regress
 
 # API.md's endpoint table and the registered mux patterns must stay
 # equal in both directions — a new route lands with its documentation
@@ -38,6 +39,13 @@ lint: vet
 
 build:
 	$(GO) build ./...
+
+# perfbench/ is its own module, so vet and test at the root skip it. Run
+# both inside it: a façade or server change that breaks the end-to-end
+# benchmark's build or its request-generator tests then fails the gate
+# instead of surfacing only when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

@@ -2,8 +2,13 @@ package coursenav
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/term"
 )
 
 func TestBrandeisBasics(t *testing.T) {
@@ -550,5 +555,38 @@ func TestCompareSelectionsFacade(t *testing.T) {
 	}
 	if _, err := nav.CompareSelections(Query{Start: "x", End: "y"}, major); err == nil {
 		t.Error("bad query accepted")
+	}
+}
+
+// wideNavigator hosts a catalog with one status of 2^62 − 1 selections:
+// AA 1 and AA 2 are offered in Fall 2011 and Spring 2012, and 62 courses
+// without prerequisites only in Fall 2012. From Fall 2011 to Spring 2013
+// with no per-semester limit there are 3·(2^62 − 1) paths.
+func wideNavigator(t *testing.T) *Navigator {
+	t.Helper()
+	cal := term.TwoSeason
+	f11, s12, f12 := cal.MustTerm(2011, term.Fall), cal.MustTerm(2012, term.Spring), cal.MustTerm(2012, term.Fall)
+	b := catalog.NewBuilder(cal).
+		Add(catalog.Course{ID: "AA 1", Offered: []term.Term{f11, s12}}).
+		Add(catalog.Course{ID: "AA 2", Offered: []term.Term{f11, s12}})
+	for i := 0; i < 62; i++ {
+		b.Add(catalog.Course{ID: fmt.Sprintf("XX %d", 100+i), Offered: []term.Term{f12}})
+	}
+	cat, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewFromCatalog(cat)
+}
+
+// TestDeadlineCountSaturates: a path count past MaxInt64 reads MaxInt64,
+// never a wrapped negative.
+func TestDeadlineCountSaturates(t *testing.T) {
+	sum, err := wideNavigator(t).DeadlineCount(Query{Start: "Fall 2011", End: "Spring 2013"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Paths != math.MaxInt64 || !sum.DAG {
+		t.Errorf("paths = %d (dag %v), want MaxInt64 on the DAG", sum.Paths, sum.DAG)
 	}
 }

@@ -56,6 +56,21 @@ func (s *Set) CopyFrom(t Set) {
 	}
 }
 
+// FromWords returns the set whose members are the bits of words, bit i of
+// words[j] standing for member j·64+i. The set aliases words: writes
+// through either are visible in the other. Flat storage that keeps many
+// sets in one []uint64 uses it to hand one of them out without a copy.
+func FromWords(words []uint64) Set {
+	return Set{words: words}
+}
+
+// Words returns the set's storage in the layout FromWords reads. The
+// slice aliases s; callers copy it to retain the members past a later
+// write to s.
+func (s Set) Words() []uint64 {
+	return s.words
+}
+
 // Clone returns an independent copy of s.
 func (s Set) Clone() Set {
 	if len(s.words) == 0 {

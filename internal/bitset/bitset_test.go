@@ -33,6 +33,27 @@ func TestBasicAddRemoveContains(t *testing.T) {
 	}
 }
 
+// TestFromWordsAliases: FromWords and Words expose one storage, bit i of
+// word j standing for member 64j+i.
+func TestFromWordsAliases(t *testing.T) {
+	words := []uint64{1<<3 | 1<<63, 1 << 1}
+	s := FromWords(words)
+	if got := s.Members(); !reflect.DeepEqual(got, []int{3, 63, 65}) {
+		t.Fatalf("members = %v, want [3 63 65]", got)
+	}
+	s.Add(0)
+	s.Remove(65)
+	if words[0] != 1|1<<3|1<<63 || words[1] != 0 {
+		t.Errorf("writes through the set did not reach the words: %x", words)
+	}
+	if w := s.Words(); &w[0] != &words[0] || len(w) != 2 {
+		t.Errorf("Words does not alias the set's storage")
+	}
+	if !FromWords(FromMembers(130, 5, 129).Words()).Equal(FromMembers(130, 5, 129)) {
+		t.Error("FromWords(s.Words()) differs from s")
+	}
+}
+
 func TestAddGrowsAndNegativePanics(t *testing.T) {
 	var s Set
 	s.Add(500)

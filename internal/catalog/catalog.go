@@ -392,6 +392,21 @@ func (c *Catalog) OptionsArena(a *bitset.Arena, x bitset.Set, t term.Term) bitse
 	return avail
 }
 
+// OptionsInto is Options writing the result into dst, whose storage is
+// reused (and grown only when too small), and returning it. A caller that
+// derives one option set at a time, and drops each before asking for the
+// next, then allocates nothing per status.
+func (c *Catalog) OptionsInto(dst *bitset.Set, x bitset.Set, t term.Term) bitset.Set {
+	dst.CopyFrom(c.OfferedIn(t))
+	dst.DiffInPlace(x)
+	dst.ForEach(func(i int) {
+		if !c.compiled[i].Satisfied(x) {
+			dst.Remove(i)
+		}
+	})
+	return *dst
+}
+
 // Unreachable returns the IDs of courses that can never be taken regardless
 // of schedule: courses whose prerequisite condition is unsatisfiable even if
 // the student completed every other reachable course. It is a lint for

@@ -167,6 +167,28 @@ func TestOptionsPaperFigure3(t *testing.T) {
 	}
 }
 
+// TestOptionsIntoMatchesOptions: OptionsInto answers exactly as Options
+// for every completed set and term, reusing one destination set whatever
+// it held before.
+func TestOptionsIntoMatchesOptions(t *testing.T) {
+	cat := paperCatalog(t)
+	dst := cat.MustSetOf("11A", "29A", "21A")
+	for mask := 0; mask < 1<<cat.Len(); mask++ {
+		x := bitset.New(cat.Len())
+		for i := 0; i < cat.Len(); i++ {
+			if mask&(1<<i) != 0 {
+				x.Add(i)
+			}
+		}
+		for _, tm := range []term.Term{f11.Prev(), f11, s12, f12, s13} {
+			want := cat.Options(x, tm)
+			if got := cat.OptionsInto(&dst, x, tm); !got.Equal(want) || !dst.Equal(want) {
+				t.Errorf("X=%v %v: OptionsInto %v, Options %v", cat.IDs(x), tm, cat.IDs(got), cat.IDs(want))
+			}
+		}
+	}
+}
+
 func TestSetOfErrors(t *testing.T) {
 	cat := paperCatalog(t)
 	if _, err := cat.SetOf("11A", "nope"); err == nil {

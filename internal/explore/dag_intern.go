@@ -25,13 +25,14 @@ import (
 //     bits, so shard choice and probe order stay independent).
 //
 // The slab and table are generic over the node payload: the one-shot DAG
-// builder stores dagNodes, the long-lived shared counter (dag_shared.go)
-// stores sharedNodes in the same layout.
+// builder (what-if and streaming runs) stores dagNodes, the long-lived
+// shared counter (dag_shared.go) stores sharedNodes in the same layout.
+// Counting runs keep flat per-level arrays instead (dag_count.go).
 
 // Node slab chunks grow geometrically from dagChunkMin to dagChunk nodes.
-// At 128 bytes per dagNode, a query that interns a dozen statuses
-// allocates one 8 KiB chunk and one that interns a few hundred about
-// 56 KiB, not the 1 MiB of a capped chunk, while a multi-million-node
+// At 120 bytes per dagNode, a query that interns a dozen statuses
+// allocates one 7.5 KiB chunk and one that interns a few hundred about
+// 52 KiB, not the 960 KiB of a capped chunk, while a multi-million-node
 // build still amortises allocation over 8192-node chunks.
 const (
 	dagChunkMin = 1 << 6

@@ -7,24 +7,20 @@ import (
 	"repro/internal/degree"
 )
 
-// Parallel DAG construction: the build proceeds level by level — every
-// edge advances the semester, so level d+1's frontier is exactly the
+// Parallel what-if construction: the build proceeds level by level —
+// every edge advances the semester, so level d+1's frontier is exactly the
 // expandable statuses level d discovered — and within a level the
 // expansions are independent apart from interning. Workers share the
 // 64-way lock-striped interner (dagInternShards) and the run control;
 // everything else (engine, arena, node slab, scratch sets, next-level
-// list, fold tallies) is worker-private and merged after the pool joins.
-//
-// The level barrier is what lets counting mode keep its forward DP in
-// parallel: a node's prefix count only changes while its parents' level
-// is in flight, so by the time a worker expands it the value is final.
-// Cross-worker prefix pushes go through an atomic add; node identity is
-// settled under the shard lock (one creator per distinct status), so the
-// structural tallies — Nodes, Edges, the prune split — are deterministic
-// and identical to the serial builder's.
+// list) is worker-private and merged after the pool joins. Node identity
+// is settled under the shard lock (one creator per distinct status), so
+// the structural tallies — Nodes, Edges, the prune split — are
+// deterministic and identical to the serial builder's. Counting runs have
+// their own parallel build over flat levels (dag_count.go).
 
-// buildParallel drains the levels across a worker pool. Only counting and
-// what-if runs build in parallel (streaming unfolds need the serial
+// buildParallel drains the levels across a worker pool. Only what-if runs
+// build the node graph in parallel (streaming unfolds need the serial
 // emission order), so no sink is involved.
 func (b *dagBuilder) buildParallel(workers int) {
 	if len(b.next) == 0 {
@@ -33,8 +29,8 @@ func (b *dagBuilder) buildParallel(workers int) {
 	e := b.e
 	shared := &dagInternShards{}
 	b.tab.each(shared.put)
-	// Keep the shared interner reachable from the root builder: dagTally's
-	// retally pass resolves children against it after the pool joins.
+	// Keep the shared interner reachable from the root builder: retally
+	// resolves children against it after the pool joins.
 	b.shared = shared
 	e.res.Parallel = true
 
@@ -44,7 +40,7 @@ func (b *dagBuilder) buildParallel(workers int) {
 		sub.memo = nil
 		sub.ctl = e.ctl // one control spans the whole pool
 		w := newDAGBuilder(sub, b.mode)
-		w.shared, w.par, w.multi = shared, true, b.multi
+		w.shared = shared
 		ws[i] = w
 	}
 
@@ -77,14 +73,6 @@ func (b *dagBuilder) buildParallel(workers int) {
 	}
 
 	for _, w := range ws {
-		b.moreSlabs = append(b.moreSlabs, &w.slab)
-		b.paths += w.paths
-		b.goalPaths += w.goalPaths
-		for d, v := range w.goalByDepth {
-			if v != 0 {
-				b.bumpGoal(int32(d), v)
-			}
-		}
 		for d, ns := range w.byDepth {
 			for d >= len(b.byDepth) {
 				b.byDepth = append(b.byDepth, nil)
@@ -92,7 +80,7 @@ func (b *dagBuilder) buildParallel(workers int) {
 			b.byDepth[d] = append(b.byDepth[d], ns...)
 		}
 		e.res.Nodes += w.e.res.Nodes
-		e.res.Edges += w.e.res.Edges
+		e.res.Edges = satAdd(e.res.Edges, w.e.res.Edges)
 		e.res.PrunedTime += w.e.res.PrunedTime
 		e.res.PrunedAvail += w.e.res.PrunedAvail
 	}

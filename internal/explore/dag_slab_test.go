@@ -43,28 +43,6 @@ func TestNodeSlabGrowthKeepsPointers(t *testing.T) {
 	}
 }
 
-// TestSweepVisitsEveryNodeOnce: the counting sweep over a builder's slab
-// and its workers' slabs, each spanning several growing chunks, charges
-// every node exactly once.
-func TestSweepVisitsEveryNodeOnce(t *testing.T) {
-	fill := func(s *nodeSlab, n int) {
-		for i := 0; i < n; i++ {
-			nd := s.alloc()
-			nd.class, nd.prefix = classDeadline, 1
-		}
-	}
-	b := &dagBuilder{}
-	fill(&b.slab, dagChunkMin+2*dagChunkMin+5)
-	var w1, w2 nodeSlab
-	fill(&w1, 1)
-	fill(&w2, 1000)
-	b.moreSlabs = []*nodeSlab{&w1, &w2}
-	b.sweep()
-	if want := int64(dagChunkMin + 2*dagChunkMin + 5 + 1 + 1000); b.paths != want {
-		t.Errorf("sweep counted %d paths, want %d (one per node)", b.paths, want)
-	}
-}
-
 // TestSmallDAGQueryAllocation: a Brandeis-sized countOnly query interns
 // a handful of statuses, so the builder's storage starts small instead
 // of zeroing a full 8192-node chunk.

@@ -248,10 +248,11 @@ type engine struct {
 	// bitset.Arena.
 	arena bitset.Arena
 	// selScratch, when set, makes selections hand out this one reused set
-	// instead of a fresh arena allocation per selection. Only the DAG's
-	// counting builder enables it: that path consumes each selection before
-	// asking for the next and retains nothing, so the per-edge arena
-	// allocation (never recycled) would be pure waste at DAG scale.
+	// instead of a fresh arena allocation per selection. The DAG's counting
+	// and what-if builders and the sinkless ranked search enable it: they
+	// consume each selection before asking for the next and retain nothing
+	// (the ranked search copies it into its frontier store), so the
+	// per-edge arena allocation (never recycled) would be pure waste.
 	selScratch *bitset.Set
 	// scratches and kidsFree are free lists for the walk's recursion-local
 	// buffers (combination enumeration state, expandMaterialized's child

@@ -9,7 +9,8 @@ import (
 )
 
 // This file holds the closed-form fold of the deadline semester shared by
-// every counting DAG mode (DESIGN.md §13). A node one semester before the
+// the DAG's counting core, its what-if build and the shared counter
+// (DESIGN.md §13). A node one semester before the
 // deadline has only terminal children: each selection W ends a path, and
 // a goal path iff goal.Satisfied(X ∪ W). Enumerating them one at a time
 // dominates a counting build — on a typical interactive goal count
@@ -113,7 +114,7 @@ func (e *engine) lastLevelCounts(st status.Status, minTake int) (selections, goa
 		// relevant subset of size s.
 		var weight int64
 		for j := max(lo-s, 0); j <= min(ni, m-s); j++ {
-			weight += combin.Binomial(ni, j)
+			weight = satAdd(weight, combin.Binomial(ni, j))
 		}
 		if cap(f.idx) < s {
 			f.idx = make([]int, s)
@@ -128,7 +129,7 @@ func (e *engine) lastLevelCounts(st status.Status, minTake int) (selections, goa
 				f.u.Add(f.members[i])
 			}
 			if e.goal.Satisfied(f.u) {
-				goalSelections += weight
+				goalSelections = satAdd(goalSelections, weight)
 			}
 			i := s - 1
 			for i >= 0 && idx[i] == nr-s+i {
@@ -144,12 +145,4 @@ func (e *engine) lastLevelCounts(st status.Status, minTake int) (selections, goa
 		}
 	}
 	return selections, goalSelections, true
-}
-
-// satAdd is a + b for non-negative operands, saturating at MaxInt64.
-func satAdd(a, b int64) int64 {
-	if a > math.MaxInt64-b {
-		return math.MaxInt64
-	}
-	return a + b
 }

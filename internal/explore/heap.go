@@ -3,7 +3,8 @@ package explore
 // minHeap is a generic binary min-heap ordered by less. Unlike
 // container/heap it stores T directly — Push/Pop move concrete values, so
 // pushing never boxes into an interface{} and the frontier's hot loop is
-// allocation-free apart from slice growth (see BenchmarkFrontierHeap).
+// allocation-free apart from slice growth, which doubles (see reserve and
+// BenchmarkFrontierHeap).
 type minHeap[T any] struct {
 	items []T
 	less  func(a, b T) bool
@@ -18,8 +19,12 @@ func (h *minHeap[T]) Len() int { return len(h.items) }
 
 // Push adds x and restores the heap order (sift-up).
 func (h *minHeap[T]) Push(x T) {
-	h.items = append(h.items, x)
-	i := len(h.items) - 1
+	i := len(h.items)
+	if i == cap(h.items) {
+		h.items = growSlice(h.items, 1)
+	}
+	h.items = h.items[:i+1]
+	h.items[i] = x
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(h.items[i], h.items[parent]) {
@@ -56,4 +61,22 @@ func (h *minHeap[T]) Pop() T {
 		i = smallest
 	}
 	return top
+}
+
+// reserve returns s with room for n more elements, doubling its capacity
+// when it must grow. append grows a large slice by ~1.25× a step, which
+// allocates about five times the slice's final size over its growth;
+// doubling allocates at most twice it.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return growSlice(s, n)
+}
+
+// growSlice is reserve's slow path, kept apart so reserve inlines.
+func growSlice[T any](s []T, n int) []T {
+	t := make([]T, len(s), max(2*cap(s), len(s)+n, 16))
+	copy(t, s)
+	return t
 }

@@ -24,6 +24,12 @@ type Pruner interface {
 	// Check returns prune=true when no goal node is reachable from st, and
 	// otherwise the minimum number of courses that must be taken in
 	// st.Term for the goal to remain reachable (0 if unconstrained).
+	//
+	// Check reads only st.Term and st.Completed, never st.Options: the
+	// engines classify a generated status before deriving its option set
+	// (the DAG's counting core derives it only if the status is expanded,
+	// the ranked search only when it pops the status), and Check must not
+	// retain st.Completed, which may be reused scratch.
 	Check(st status.Status, end term.Term) (prune bool, minTake int)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/bitset"
@@ -27,19 +28,22 @@ type RankedPath struct {
 }
 
 // RankedResult reports a ranked exploration run. Graph holds only the
-// explored frontier — best-first search typically touches a tiny fraction
-// of the full learning graph (paper Figure 4's interactive latencies rest
-// on this).
+// explored part of the learning graph — best-first search typically
+// touches a tiny fraction of the full learning graph (paper Figure 4's
+// interactive latencies rest on this).
 type RankedResult struct {
 	// Paths lists up to k goal paths in rank order (best first). Fewer than
 	// k are returned when the goal graph has fewer goal paths.
 	Paths []RankedPath
 	// Graph is the explored portion of the learning graph. Without a
-	// sink, a generated node's option set is derived only when the search
-	// pops it, so nodes left on the frontier carry an empty
-	// Status.Options.
+	// sink it holds only the nodes the search popped — the root and every
+	// expanded, goal, deadline or pruned node — and the edges into them:
+	// a generated child waits on the frontier as a compact entry and
+	// becomes a node only when popped. With a sink every generated child
+	// is a node, as its edge event names it.
 	Graph *graph.Graph
-	// Nodes, Edges, PrunedTime and PrunedAvail mirror Result.
+	// Nodes, Edges, PrunedTime and PrunedAvail mirror Result: Nodes and
+	// Edges count every generated child, popped or not.
 	Nodes, Edges            int64
 	PrunedTime, PrunedAvail int64
 	// Popped counts best-first queue pops (search effort).
@@ -59,12 +63,49 @@ type RankedResult struct {
 // classification/expansion, keyed by its A* priority f = g + h, where g
 // is the root-path cost and h the ranker's admissible remaining-cost
 // bound (zero when the ranker offers none, reducing to the paper's plain
-// best-first order).
+// best-first order). It is 32 bytes of four fields, few enough for the
+// compiler to keep an item in registers.
 type frontierItem struct {
-	node graph.NodeID
+	node frontierNode
 	cost float64 // g: accumulated path cost
 	pri  float64 // f = g + h
 	seq  int64   // LIFO tie-break: equal-f work proceeds depth-first
+}
+
+// frontierNode names a frontier item's node: a graph node (parent ==
+// graph.None, ref its id) or a child not yet in the graph (ref its record
+// in the search's frontierStore, parent the graph node it was generated
+// from).
+type frontierNode struct {
+	parent graph.NodeID
+	ref    int32
+}
+
+// frontierStore holds the frontier's unpopped children in one flat word
+// slice, one record each: the edge cost's bits, then the selection's
+// words. The child's status is its parent's completed set plus the
+// selection, one semester on, so nothing else needs keeping until a pop
+// makes it a graph node.
+type frontierStore struct {
+	words  []uint64
+	stride int // record length: 1 + words per selection
+}
+
+// push records a child and returns its record index.
+func (s *frontierStore) push(cost float64, sel bitset.Set) int32 {
+	i := len(s.words) / s.stride
+	s.words = reserve(s.words, s.stride)[:len(s.words)+s.stride]
+	r := s.words[i*s.stride:]
+	r[0] = math.Float64bits(cost)
+	clear(r[1:])
+	copy(r[1:], sel.Words())
+	return int32(i)
+}
+
+// record returns record i's edge cost and selection words.
+func (s *frontierStore) record(i int32) (float64, []uint64) {
+	r := s.words[int(i)*s.stride : (int(i)+1)*s.stride]
+	return math.Float64frombits(r[0]), r[1:]
 }
 
 // frontierLess orders the best-first queue: lowest priority first; among
@@ -166,14 +207,24 @@ func RankedStream(ctx context.Context, cat *catalog.Catalog, start status.Status
 		}
 		return ranker.Heuristic(left, opt.MaxPerTerm)
 	}
-	// With no sink, a child is generated with only its term and completed
-	// set, which is all that h, the rankers' EdgeCost and both pruners
-	// read, and its option set is derived when it is popped: a search that
-	// generates thousands of children typically expands a few hundred.
-	// Edge events carry the child status, so a sink gets it eagerly.
+	// With no sink, a generated child is a compact frontier entry: its
+	// selection and edge cost go to the frontier store, and h, the rankers'
+	// EdgeCost and both pruners read only its term and completed set (the
+	// union, built in scratch). It becomes a graph node — with its option
+	// set derived — only when popped: a search that generates thousands of
+	// children typically expands a few hundred. Edge events carry the
+	// child status and node id, so a sink gets every child eagerly.
 	lazy := sink == nil
+	var store frontierStore
+	var uscr, wscr bitset.Set
+	if lazy {
+		store.stride = 1 + (cat.Len()+63)/64
+		// Each selection is consumed (copied into the store) before the
+		// next is asked for, so one reused set serves them all.
+		e.selScratch = &wscr
+	}
 	pq := newMinHeap(frontierLess, 64)
-	pq.Push(frontierItem{node: g.Root(), cost: 0, pri: h(start), seq: 0})
+	pq.Push(frontierItem{node: frontierNode{parent: graph.None, ref: int32(g.Root())}, cost: 0, pri: h(start), seq: 0})
 	var seq int64
 	for pq.Len() > 0 && len(res.Paths) < k {
 		if e.ctl != nil && (e.ctl.halted() != stopNone || e.ctl.noteNode()) {
@@ -181,24 +232,31 @@ func RankedStream(ctx context.Context, cat *catalog.Catalog, start status.Status
 		}
 		it := pq.Pop()
 		res.Popped++
-		nd := g.Node(it.node)
-		if lazy && it.node != g.Root() {
-			nd.Status.Options = e.cat.OptionsArena(&e.arena, nd.Status.Completed, nd.Status.Term)
+		id := graph.NodeID(it.node.ref)
+		if it.node.parent != graph.None {
+			ec, words := store.record(it.node.ref)
+			parent := g.Node(it.node.parent).Status
+			sel := e.arena.Make(cat.Len())
+			copy(sel.Words(), words)
+			x := e.arena.Union(parent.Completed, sel)
+			next := parent.Term.Next()
+			id = g.AddNode(status.Status{Term: next, Completed: x, Options: cat.OptionsArena(&e.arena, x, next)})
+			g.AddEdge(it.node.parent, id, sel, ec)
 		}
-		st := nd.Status
+		st := g.Node(id).Status
 		class, minTake := e.classify(st)
 		switch class {
 		case classGoal:
-			g.MarkGoal(it.node)
+			g.MarkGoal(id)
 			rp := RankedPath{
-				Path:  g.PathTo(it.node),
+				Path:  g.PathTo(id),
 				Cost:  it.cost,
 				Value: ranker.PathValue(it.cost),
 			}
 			res.Paths = append(res.Paths, rp)
 			if sink != nil {
 				ev := Event{
-					Kind: KindPath, Node: int64(it.node), Status: st, Goal: true,
+					Kind: KindPath, Node: int64(id), Status: st, Goal: true,
 					Steps: rankedSteps(g, rp.Path), PathCost: rp.Cost, PathValue: rp.Value,
 				}
 				if err := e.emit(ev); err != nil {
@@ -210,9 +268,9 @@ func RankedStream(ctx context.Context, cat *catalog.Catalog, start status.Status
 		case classDeadline:
 			continue // reached the deadline without the goal: dead path
 		case classPruned:
-			g.MarkPruned(it.node)
+			g.MarkPruned(id)
 			if sink != nil {
-				if err := e.emit(Event{Kind: KindPruned, Node: int64(it.node), Status: st, Strategy: e.prunedBy}); err != nil {
+				if err := e.emit(Event{Kind: KindPruned, Node: int64(id), Status: st, Strategy: e.prunedBy}); err != nil {
 					return finish(err)
 				}
 			}
@@ -220,25 +278,30 @@ func RankedStream(ctx context.Context, cat *catalog.Catalog, start status.Status
 		}
 		next := st.Term.Next()
 		err := e.selections(st, minTake, func(w bitset.Set) error {
-			var child status.Status
-			if lazy {
-				child = status.Status{Term: next, Completed: e.arena.Union(st.Completed, w)}
-			} else {
-				child = e.advance(st, w)
-			}
 			ec := ranker.EdgeCost(st, w)
 			if ec < 0 {
 				return fmt.Errorf("explore: ranking function %q returned negative edge cost %g", ranker.Name(), ec)
 			}
-			cid := g.AddNode(child)
-			res.Nodes++
-			if opt.MaxNodes > 0 && g.NumNodes() > opt.MaxNodes {
-				return fmt.Errorf("%w: %d nodes (budget %d)", ErrGraphTooLarge, g.NumNodes(), opt.MaxNodes)
+			var child status.Status
+			node := frontierNode{parent: id}
+			if lazy {
+				uscr.CopyFrom(st.Completed)
+				uscr.UnionInPlace(w)
+				child = status.Status{Term: next, Completed: uscr}
+			} else {
+				child = e.advance(st, w)
+				node = frontierNode{parent: graph.None, ref: int32(g.AddNode(child))}
 			}
-			g.AddEdge(it.node, cid, w, ec)
+			// Children count as generated, popped or not, so the node budget
+			// trips at the same child with or without a sink.
+			res.Nodes++
+			if opt.MaxNodes > 0 && res.Nodes > int64(opt.MaxNodes) {
+				return fmt.Errorf("%w: %d nodes (budget %d)", ErrGraphTooLarge, res.Nodes, opt.MaxNodes)
+			}
 			res.Edges++
-			if sink != nil {
-				if err := e.emit(Event{Kind: KindEdge, Parent: int64(it.node), Node: int64(cid), Status: child, Selection: w, Cost: ec}); err != nil {
+			if !lazy {
+				g.AddEdge(id, graph.NodeID(node.ref), w, ec)
+				if err := e.emit(Event{Kind: KindEdge, Parent: int64(id), Node: int64(node.ref), Status: child, Selection: w, Cost: ec}); err != nil {
 					return err
 				}
 			}
@@ -250,7 +313,10 @@ func RankedStream(ctx context.Context, cat *catalog.Catalog, start status.Status
 				// no path through this child can meet the threshold.
 				return nil
 			}
-			pq.Push(frontierItem{node: cid, cost: gCost, pri: pri, seq: seq})
+			if lazy {
+				node.ref = store.push(ec, w)
+			}
+			pq.Push(frontierItem{node: node, cost: gCost, pri: pri, seq: seq})
 			return nil
 		})
 		if err != nil {

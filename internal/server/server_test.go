@@ -3,13 +3,17 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/catalog"
+	"repro/internal/term"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -531,5 +535,43 @@ func TestCountOnlyDAGStats(t *testing.T) {
 	}
 	if st.DAGNodes != out.Summary.Nodes {
 		t.Errorf("stats dagNodes = %d, want the run's %d", st.DAGNodes, out.Summary.Nodes)
+	}
+}
+
+// TestDeadlineCountOnlySaturates: a countOnly request whose path count
+// passes MaxInt64 answers MaxInt64, never a wrapped negative. The catalog
+// has one status with 2^62 − 1 selections: AA 1 and AA 2 are offered in
+// Fall 2011 and Spring 2012, and 62 courses without prerequisites only in
+// Fall 2012, so Fall 2011 → Spring 2013 has 3·(2^62 − 1) paths.
+func TestDeadlineCountOnlySaturates(t *testing.T) {
+	cal := term.TwoSeason
+	f11, s12, f12 := cal.MustTerm(2011, term.Fall), cal.MustTerm(2012, term.Spring), cal.MustTerm(2012, term.Fall)
+	b := catalog.NewBuilder(cal).
+		Add(catalog.Course{ID: "AA 1", Offered: []term.Term{f11, s12}}).
+		Add(catalog.Course{ID: "AA 2", Offered: []term.Term{f11, s12}})
+	for i := 0; i < 62; i++ {
+		b.Add(catalog.Course{ID: fmt.Sprintf("XX %d", 100+i), Offered: []term.Term{f12}})
+	}
+	cat, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(coursenav.NewFromCatalog(cat)))
+	t.Cleanup(ts.Close)
+	resp, body := post(t, ts, "/api/v1/explore/deadline",
+		`{"query":{"start":"Fall 2011","end":"Spring 2013","countOnly":true}}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out struct {
+		Summary struct {
+			Paths int64 `json:"paths"`
+		} `json:"summary"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Summary.Paths != math.MaxInt64 {
+		t.Errorf("paths = %d, want MaxInt64: %s", out.Summary.Paths, body)
 	}
 }
