@@ -314,7 +314,7 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 		lastLevel := !next.Before(e.end)
 		if lastLevel {
 			if sel, goalSel, ok := e.lastLevelCounts(st, minTake); ok {
-				// The deadline semester in closed form, as dagCount folds it.
+				// The deadline semester in closed form, as counting folds it.
 				vec[0] = sel
 				for hz := goalFrom; hz <= c.horizon; hz++ {
 					vec[1+hz] = goalSel
@@ -329,7 +329,7 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 			u := c.uscr[depth]
 			u.CopyFrom(st.Completed)
 			u.UnionInPlace(sel)
-			// Terminal children fold at the edge, exactly as dagCount:
+			// Terminal children fold at the edge, exactly as counting does:
 			// their whole contribution is known here, so they are never
 			// interned.
 			if e.goal.Satisfied(*u) {
