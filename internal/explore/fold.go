@@ -30,8 +30,10 @@ type foldState struct {
 	ready bool
 	// rel is goal.Relevant(), taken once per engine.
 	rel bitset.Set
-	// r and u are arena-backed scratch sets: the node's relevant options,
-	// and the completed set X ∪ S a relevant subset yields.
+	// r and u are scratch sets: the node's relevant options, and the
+	// completed set X ∪ S a relevant subset yields. They are allocated at
+	// the catalog's size, not from the engine arena: the counting core
+	// draws nothing else from it, and its first Make is a 16 KiB chunk.
 	r, u bitset.Set
 	// members lists r; idx is the combination cursor over it. Both start
 	// in buf and move to the heap only past 32 entries.
@@ -78,7 +80,7 @@ func (e *engine) lastLevelCounts(st status.Status, minTake int) (selections, goa
 	if e.goal != nil {
 		if !f.ready {
 			n := e.cat.Len()
-			f.rel, f.r, f.u = e.goal.Relevant(), e.arena.Make(n), e.arena.Make(n)
+			f.rel, f.r, f.u = e.goal.Relevant(), bitset.New(n), bitset.New(n)
 			f.members, f.idx = f.buf[:0:32], f.buf[32:32:64]
 			f.ready = true
 		}

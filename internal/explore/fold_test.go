@@ -2,7 +2,9 @@ package explore
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
@@ -161,6 +163,34 @@ func TestDAGDeadlineFoldAllocatesNothing(t *testing.T) {
 		e.lastLevelCounts(st, 0)
 		if a := testing.AllocsPerRun(50, func() { e.lastLevelCounts(st, 0) }); a != 0 {
 			t.Errorf("goal %s: a fold allocates %.1f times", gg.name, a)
+		}
+	}
+}
+
+// TestDAGDeadlineFoldFirstCallAllocatesLittle: the first fold on a fresh
+// engine sizes its two scratch sets to the catalog rather than drawing
+// them from the engine arena, whose first Make allocates a 2,048-word
+// chunk the counting core never otherwise touches.
+func TestDAGDeadlineFoldFirstCallAllocatesLittle(t *testing.T) {
+	cat, req, st := wideStatus(t)
+	for _, gg := range goldenGoals(t, cat, req) {
+		if gg.name != "set" && gg.name != "expr" {
+			continue
+		}
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			e := newEngine(cat, st.Term.Next(), gg.goal, nil, Options{MaxPerTerm: 3})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, ok := e.lastLevelCounts(st, 0)
+			runtime.ReadMemStats(&after)
+			if !ok {
+				t.Fatalf("goal %s: the fold declined; the test needs a folding status", gg.name)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > 1024 {
+			t.Errorf("goal %s: the first fold allocates %d B, want ≤ 1 KiB", gg.name, least)
 		}
 	}
 }

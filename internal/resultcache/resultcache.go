@@ -232,14 +232,19 @@ func (c *Cache) Finish(k Key, f *Flight, e *Entry) {
 }
 
 // Stale returns the previous generation's entry matching k's request hash,
-// if one survived the last Invalidate. k must carry the current generation —
-// a key minted against an older snapshot gets nothing (its "stale" answer
-// would be two or more generations old). The entry replays exactly as it was
+// if one survived the last Invalidate and the live generation does not
+// hold k: a stale answer never shadows a fresh one, so a caller may ask
+// Stale before Get. k must carry the current generation — a key minted
+// against an older snapshot gets nothing (its "stale" answer would be two
+// or more generations old). The entry replays exactly as it was
 // rendered; the caller is responsible for marking the response stale.
 func (c *Cache) Stale(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if k.Gen != c.gen {
+		return nil, false
+	}
+	if _, live := c.byKey[k]; live {
 		return nil, false
 	}
 	el, ok := c.stale[Key{Gen: c.staleGen, Hash: k.Hash}]

@@ -315,6 +315,25 @@ func TestStaleMissesUnknownHash(t *testing.T) {
 	}
 }
 
+// TestStaleYieldsToLiveEntry: once the live generation holds a key, its
+// previous-generation entry is no longer offered, so a caller that asks
+// Stale before Get never replays an old answer over a fresh one.
+func TestStaleYieldsToLiveEntry(t *testing.T) {
+	c := New(1 << 20)
+	c.Put(key(0, "a"), ent("gen0 body"))
+	c.Invalidate(1)
+	if e, ok := c.Stale(key(1, "a")); !ok || string(e.Body) != "gen0 body" {
+		t.Fatalf("stale = %v, %v before the live entry exists; want the gen0 body", e, ok)
+	}
+	c.Put(key(1, "a"), ent("gen1 body"))
+	if e, ok := c.Stale(key(1, "a")); ok {
+		t.Errorf("stale served %q while the live generation holds the key", e.Body)
+	}
+	if st := c.Stats(); st.StaleHits != 1 {
+		t.Errorf("stale hits = %d, want 1 (the refused lookup is not a hit)", st.StaleHits)
+	}
+}
+
 // populated returns a cache holding n entries under generation 0 and a
 // reset that reinstalls that live table, so a loop can run Invalidate over
 // the same n entries again and again.

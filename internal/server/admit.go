@@ -19,7 +19,6 @@ package server
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"time"
@@ -96,18 +95,6 @@ func costHint(req *ExploreRequest) admission.Hint {
 	return h
 }
 
-// costKey is the generation-independent digest observed run times are
-// recorded under: the same canonical blob as the result-cache key, with
-// the tenant folded in (partitions keep cache keys tenant-local; the
-// estimator is one map, so the key must carry the tenant itself).
-func costKey(tenantID, endpoint string, req *ExploreRequest) ([sha256.Size]byte, bool) {
-	blob, err := json.Marshal(req)
-	if err != nil {
-		return [sha256.Size]byte{}, false
-	}
-	return resultcache.KeyFor(0, tenantID+"|"+endpoint, blob).Hash, true
-}
-
 // admitResult carries one admission decision to the caller, which
 // decides how to answer a shed (plain error, or stale fallback first).
 type admitResult struct {
@@ -122,27 +109,40 @@ type admitResult struct {
 	retryAfter int
 }
 
-// admit prices the request and takes both admission levels: the
-// tenant's instant-shed quota, then the global cost-aware queue. On
-// admission the release func returns both slots and records the run's
-// wall time under the request's cost key. Nothing is written on a shed
-// — the caller answers (writeShed, a stale fallback, or a per-member
-// error record in a cohort run). It takes a context, not an
-// *http.Request: cohort units admit one sub-exploration at a time under
-// the job's context, through exactly this gate.
-func (s *Server) admit(t *tenantState, ctx context.Context, req *ExploreRequest, endpoint string) (admitResult, bool) {
-	relQuota, ok := t.acquireQuota()
+// admit prices the unit and takes both admission levels: the tenant's
+// instant-shed quota, then the global cost-aware queue — or, for a try
+// unit, a free global slot without queueing (a failed try is neither
+// counted as a shed nor latches brownout). On admission the release func
+// returns both slots and records the run's wall time under the unit's
+// cost key. Nothing is written on a shed — the caller answers (writeShed,
+// a stale fallback, or a per-member error record in a cohort run).
+func (s *Server) admit(ctx context.Context, u unit) (admitResult, bool) {
+	relQuota, ok := u.t.acquireQuota()
 	if !ok {
 		return admitResult{tenantShed: true}, false
 	}
-	key, keyed := costKey(t.id, endpoint, req)
-	hint := costHint(req)
-	est, _ := s.Estimator.Estimate(key, hint)
-	if !keyed {
+	hint := costHint(u.req)
+	// The estimator is one map for every tenant, while cache keys are
+	// tenant-local (each tenant owns its partition): its key folds the
+	// tenant into the request's generation-free digest.
+	var cost [sha256.Size]byte
+	var est float64
+	if u.keyed {
+		cost = resultcache.KeyFor(0, u.t.id, u.key.Hash[:]).Hash
+		est, _ = s.Estimator.Estimate(cost, hint)
+	} else {
 		est = admission.SeedCost(hint)
 	}
 	wasDegraded := s.degradedNow()
-	release, outcome := s.adm().Acquire(ctx, est)
+	var release func()
+	var outcome admission.Outcome
+	if u.try {
+		if release, ok = s.adm().TryAcquire(); !ok {
+			outcome = admission.ShedQueueFull
+		}
+	} else {
+		release, outcome = s.adm().Acquire(ctx, est)
+	}
 	if outcome.Shed() {
 		relQuota()
 		return admitResult{outcome: outcome, degraded: wasDegraded, retryAfter: s.adm().RetryAfter()}, false
@@ -151,8 +151,8 @@ func (s *Server) admit(t *tenantState, ctx context.Context, req *ExploreRequest,
 	return admitResult{
 		outcome: outcome,
 		release: func() {
-			if keyed {
-				s.Estimator.Observe(key, time.Since(began))
+			if u.keyed {
+				s.Estimator.Observe(cost, time.Since(began))
 			}
 			release()
 			relQuota()
@@ -166,8 +166,8 @@ func annotateAdmission(w http.ResponseWriter, outcome admission.Outcome) {
 	if outcome == admission.Admitted {
 		return
 	}
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.admission = outcome.String()
+	if ev := usageEvent(w); ev != nil {
+		ev.Admission = outcome.String()
 	}
 }
 
@@ -208,17 +208,4 @@ func (s *Server) writeShed(t *tenantState, w http.ResponseWriter, res admitResul
 		writeErr(w, http.StatusTooManyRequests, CodeOverloaded,
 			"server is at its exploration concurrency limit; retry shortly")
 	}
-}
-
-// admitExplore is the writing form of admit, for call sites with no
-// stale fallback (the streaming branches): it answers the shed itself
-// and returns ok=false.
-func (s *Server) admitExplore(t *tenantState, w http.ResponseWriter, r *http.Request, req *ExploreRequest, endpoint string) (release func(), ok bool) {
-	res, ok := s.admit(t, r.Context(), req, endpoint)
-	if !ok {
-		s.writeShed(t, w, res)
-		return nil, false
-	}
-	annotateAdmission(w, res.outcome)
-	return res.release, true
 }

@@ -1,4 +1,5 @@
-// Result caching for the explore endpoints.
+// Result caching for the explore endpoints: the HTTP shell over the
+// serving pipeline (unit.go).
 //
 // The interactive workload the paper targets (§5: a student tweaks one knob
 // and re-explores) is dominated by repeated, semantically identical
@@ -6,17 +7,20 @@
 // non-streaming explore response is therefore cached under
 // (catalog snapshot generation, canonicalized request, endpoint) and
 // replayed byte-for-byte on a hit; concurrent identical misses coalesce
-// into one exploration via the cache's flight mechanism. Streaming
-// requests bypass the cache on the read side but populate it when the run
-// completes cleanly and the rendered result fits the per-entry cap — see
-// the stream branches of the explore handlers.
+// into one exploration via the cache's flight mechanism. serveCached runs
+// each request as a unit through runUnit, with the handler writing into a
+// buffer as the unit's exec, and keeps only what is HTTP-specific:
+// stale-while-revalidate, the shed envelope and the usage annotations.
+// Streaming requests bypass the cache on the read side but populate it
+// when the run completes cleanly and the rendered result fits the
+// per-entry cap (serveStream, stream.go).
 //
-// Cache hits skip the exploration semaphore entirely (a replay is a memcpy,
-// not an exploration); misses and coalescing fallbacks acquire a slot
-// exactly as before, so load shedding still protects the engines. The
-// X-Cache response header reports hit/coalesced/miss on every cached-path
-// response for observability; responses are otherwise byte-identical to an
-// uncached server's (tests assert this per endpoint).
+// Cache hits skip admission entirely (a replay is a memcpy, not an
+// exploration); misses acquire a slot, so load shedding still protects
+// the engines. The X-Cache response header reports
+// hit/coalesced/miss/stale on every response of a cache-enabled tenant;
+// responses are otherwise byte-identical to an uncached server's (tests
+// assert this per endpoint).
 //
 // Invalidation is generational: ReloadNow bumps the generation and calls
 // Invalidate, making every pre-reload entry unreachable (the generation is
@@ -39,7 +43,9 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/explore"
 	"repro/internal/resultcache"
+	"repro/internal/usage"
 )
 
 // DefaultCacheBytes is the result cache's byte budget (charged by rendered
@@ -51,17 +57,23 @@ const DefaultCacheBytes = 64 << 20
 // renders from monopolising the budget.
 const maxCacheEntryBytes = 1 << 20
 
-// exploreAnnotator lets annotate work on both the real response writer
-// (statusRecorder) and the buffered one the cached path records into.
-type exploreAnnotator interface {
-	setExplore(window string, paths int64, stopped string)
-	setDAG(nodes int64)
+// usageEvent returns the usage event w carries for handlers to annotate:
+// the live request's (statusRecorder) or a buffered run's
+// (bufferedResponse, forwarded on delivery); nil for any other writer.
+func usageEvent(w http.ResponseWriter) *usage.Event {
+	switch w := w.(type) {
+	case *statusRecorder:
+		return &w.ev
+	case *bufferedResponse:
+		return &w.ev
+	}
+	return nil
 }
 
 // annotate attaches exploration details to the request's usage event.
 func annotate(w http.ResponseWriter, qs QuerySpec, paths int64, stopped string) {
-	if a, ok := w.(exploreAnnotator); ok {
-		a.setExplore(qs.Start+" → "+qs.End, paths, stopped)
+	if ev := usageEvent(w); ev != nil {
+		ev.Window, ev.Paths, ev.Stopped = qs.Start+" → "+qs.End, paths, stopped
 	}
 }
 
@@ -69,11 +81,8 @@ func annotate(w http.ResponseWriter, qs QuerySpec, paths int64, stopped string) 
 // (countOnly requests), recording its distinct-status count. Cache
 // replays never call it: dagAnswered counts computed runs only.
 func annotateDAG(w http.ResponseWriter, sum coursenav.Summary) {
-	if !sum.DAG {
-		return
-	}
-	if a, ok := w.(exploreAnnotator); ok {
-		a.setDAG(sum.Nodes)
+	if ev := usageEvent(w); ev != nil && sum.DAG {
+		ev.DAG, ev.DAGNodes = true, sum.Nodes
 	}
 }
 
@@ -134,15 +143,13 @@ func canonCourseSet(nav *coursenav.Navigator, ids *[]string) {
 	*ids = out
 }
 
-// exploreKey derives the cache key for a canonicalized request against
-// one tenant's cache partition, or ok=false when that partition is
-// disabled. Keys never collide across tenants because each tenant owns
-// a separate Cache instance — the partition, not the key, carries the
-// tenant.
-func exploreKey(c *resultcache.Cache, gen uint64, endpoint string, req *ExploreRequest) (resultcache.Key, bool) {
-	if c == nil {
-		return resultcache.Key{}, false
-	}
+// exploreKey derives a canonicalized request's cache key under snapshot
+// generation gen: the request is encoded and hashed with its endpoint
+// once, and the same digest keys the admission estimator (admit). ok is
+// false when the request cannot be encoded. Keys never collide across
+// tenants because each tenant owns a separate Cache instance — the
+// partition, not the key, carries the tenant.
+func exploreKey(gen uint64, endpoint string, req *ExploreRequest) (resultcache.Key, bool) {
 	blob, err := json.Marshal(req)
 	if err != nil {
 		return resultcache.Key{}, false
@@ -150,37 +157,16 @@ func exploreKey(c *resultcache.Cache, gen uint64, endpoint string, req *ExploreR
 	return resultcache.KeyFor(gen, endpoint, blob), true
 }
 
-// runLimited runs an exploration under the two-level admission control
-// (tenant quota, then the global cost-aware queue), shedding load when
-// either refuses. It is the whole cached-path story when the tenant's
-// cache partition is disabled.
-func (s *Server) runLimited(t *tenantState, w http.ResponseWriter, r *http.Request, req *ExploreRequest, endpoint string, run http.HandlerFunc) {
-	release, ok := s.admitExplore(t, w, r, req, endpoint)
-	if !ok {
-		return
-	}
-	defer release()
-	run(w, r)
-}
-
 // bufferedResponse captures a handler's response so it can be both cached
-// and delivered. Renders are bounded by MaxResponseNodes, so the buffer is
-// small; errors and partial results buffer equally and are simply not
-// cached.
+// and delivered, with the usage annotations the handler made. Renders are
+// bounded by MaxResponseNodes, so the buffer is small; errors and partial
+// results buffer equally and are simply not cached.
 type bufferedResponse struct {
-	header   http.Header
-	buf      bytes.Buffer
-	status   int
-	wrote    bool
-	window   string
-	paths    int64
-	stopped  string
-	dag      bool
-	dagNodes int64
-}
-
-func newBufferedResponse() *bufferedResponse {
-	return &bufferedResponse{header: http.Header{}, status: http.StatusOK}
+	header http.Header
+	buf    bytes.Buffer
+	status int
+	wrote  bool
+	ev     usage.Event
 }
 
 func (b *bufferedResponse) Header() http.Header { return b.header }
@@ -197,31 +183,35 @@ func (b *bufferedResponse) Write(p []byte) (int, error) {
 	return b.buf.Write(p)
 }
 
-func (b *bufferedResponse) setExplore(window string, paths int64, stopped string) {
-	b.window, b.paths, b.stopped = window, paths, stopped
+// runBuffered runs an explore handler into a fresh bufferedResponse and
+// returns it with the entry to publish: the body of a complete 200 within
+// the entry cap, else nil.
+func runBuffered(run http.HandlerFunc, r *http.Request) (*bufferedResponse, *resultcache.Entry) {
+	b := &bufferedResponse{header: http.Header{}, status: http.StatusOK}
+	run(b, r)
+	if b.status != http.StatusOK || b.ev.Stopped != "" || b.buf.Len() > maxCacheEntryBytes {
+		return b, nil
+	}
+	return b, newEntry(b.buf.Bytes(), b.ev.Paths, b.ev.Window)
 }
 
-func (b *bufferedResponse) setDAG(nodes int64) {
-	b.dag, b.dagNodes = true, nodes
-}
-
-// deliver replays the buffered response onto the real writer, forwarding
-// the usage annotations the handler recorded. The DAG marks are forwarded
-// only for the computing request itself (how == "miss"): a coalesced
-// follower shares the bytes but did not run the DAG engine.
+// deliver writes the buffered response of the run this request computed
+// onto the real writer, forwarding the usage annotations the handler
+// made. how is the cache disposition: "miss", or "" — no X-Cache header —
+// when the tenant's partition is disabled.
 func (b *bufferedResponse) deliver(w http.ResponseWriter, how string) {
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.cache = how
-		rec.window, rec.paths, rec.stopped = b.window, b.paths, b.stopped
-		if how == "miss" && b.dag {
-			rec.setDAG(b.dagNodes)
-		}
+	if ev := usageEvent(w); ev != nil {
+		ev.Cache = how
+		ev.Window, ev.Paths, ev.Stopped = b.ev.Window, b.ev.Paths, b.ev.Stopped
+		ev.DAG, ev.DAGNodes = b.ev.DAG, b.ev.DAGNodes
 	}
 	h := w.Header()
 	for k, vs := range b.header {
 		h[k] = vs
 	}
-	h.Set("X-Cache", how)
+	if how != "" {
+		h.Set("X-Cache", how)
+	}
 	w.WriteHeader(b.status)
 	_, _ = w.Write(b.buf.Bytes())
 }
@@ -229,9 +219,9 @@ func (b *bufferedResponse) deliver(w http.ResponseWriter, how string) {
 // replay writes a cached entry: the stored body byte-for-byte, plus the
 // usage annotations of the run that produced it.
 func replay(w http.ResponseWriter, ent *resultcache.Entry, how string) {
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.cache = how
-		rec.window, rec.paths = ent.Window, ent.Paths
+	if ev := usageEvent(w); ev != nil {
+		ev.Cache = how
+		ev.Window, ev.Paths = ent.Window, ent.Paths
 	}
 	w.Header().Set("X-Cache", how)
 	w.Header().Set("Content-Type", "application/json")
@@ -239,87 +229,64 @@ func replay(w http.ResponseWriter, ent *resultcache.Entry, how string) {
 	_, _ = w.Write(ent.Body)
 }
 
-// serveCached is the non-streaming explore driver: replay a hit, coalesce
-// with an identical in-flight miss, or run the exploration (buffered) and
-// cache the result when it is a complete 200 within the entry cap. run
-// receives a buffered writer; all its error paths buffer and deliver
-// normally, they just never populate the cache.
+// serveCached is the HTTP shell over runUnit for a non-streaming explore
+// request: it replays a hit or a coalesced entry, delivers the buffered
+// response of a run it computed, and answers a shed. run writes the
+// response; its error paths buffer and deliver normally, they just never
+// populate the cache.
 //
 // Brownout behaviour (stale-while-revalidate): while the service is
-// degraded, a miss whose request was cached in the PREVIOUS snapshot
-// generation is answered from that stale entry immediately — marked
-// X-Cache: stale with "degraded":true in the envelope — and the fresh
-// computation happens in the background when a slot is free, populating
-// the live cache for the next request. A request shed by admission gets
-// the same stale fallback before the error goes out: a slightly old
-// answer beats a 429 for the paper's interactive workload, and staleness
-// is bounded at one generation by the cache's construction.
+// degraded, a request with no live entry whose answer was cached in the
+// PREVIOUS snapshot generation is answered from that stale entry at once
+// — marked X-Cache: stale with "degraded":true in the envelope — and
+// revalidated in the background, populating the live cache for the next
+// request. A request shed by admission gets the same stale fallback
+// before the error goes out: a slightly old answer beats a 429 for the
+// paper's interactive workload, and staleness is bounded at one
+// generation by the cache's construction.
 func (s *Server) serveCached(t *tenantState, w http.ResponseWriter, r *http.Request, req *ExploreRequest, endpoint string, gen uint64, run http.HandlerFunc) {
-	cache := t.resultCache()
-	key, cacheable := exploreKey(cache, gen, endpoint, req)
-	if !cacheable {
-		s.runLimited(t, w, r, req, endpoint, run)
-		return
-	}
-	if ent, ok := cache.Get(key); ok {
-		replay(w, ent, "hit")
-		return
-	}
-	if s.Brownout && s.degradedNow() {
-		if ent, ok := cache.Stale(key); ok {
+	u := newUnit(t, gen, endpoint, req)
+	// Stale yields to a live entry, so the hit below is never shadowed.
+	if u.cache != nil && s.degradedNow() {
+		if ent, ok := u.cache.Stale(u.key); ok {
 			replayStale(w, ent)
-			s.revalidate(t, r, cache, key, run)
+			s.revalidate(u, r, run)
 			return
 		}
 	}
-	f, leader := cache.Join(key)
-	if !leader {
-		if ent := f.Wait(r.Context()); ent != nil {
-			replay(w, ent, "coalesced")
+	var bw *bufferedResponse
+	ent, how, outcome, err := s.runUnit(r.Context(), u, func(context.Context) (*resultcache.Entry, bool, error) {
+		var ent *resultcache.Entry
+		bw, ent = runBuffered(run, r)
+		return ent, ent != nil, nil
+	})
+	switch err := err.(type) {
+	case nil:
+		if bw == nil {
+			replay(w, ent, how)
 			return
 		}
-		// The leader produced nothing cacheable (error, truncated run,
-		// oversized render) or our client gave up: compute individually.
-	}
-	finished := false
-	if leader {
-		// A panicking handler must not leave followers blocked on the
-		// flight: finish it empty on any non-normal exit.
-		defer func() {
-			if !finished {
-				cache.Finish(key, f, nil)
-			}
-		}()
-	}
-	res, ok := s.admit(t, r.Context(), req, endpoint)
-	if !ok {
+		annotateAdmission(w, outcome)
+		if u.cache == nil {
+			how = "" // a disabled partition reports no disposition
+		}
+		bw.deliver(w, how)
+	case *unitShedError:
 		// Shed — but a stale entry, when one exists, turns the shed into a
 		// served response: degraded beats denied.
-		if s.Brownout {
-			if ent, sok := cache.Stale(key); sok {
-				annotateAdmission(w, res.outcome)
+		if u.cache != nil && s.Brownout {
+			if ent, ok := u.cache.Stale(u.key); ok {
+				annotateAdmission(w, err.res.outcome)
 				replayStale(w, ent)
 				return
 			}
 		}
-		s.writeShed(t, w, res)
-		return
+		s.writeShed(t, w, err.res)
+	default:
+		// A coalesced follower whose client left before the run finished:
+		// it ran nothing and there is no one to answer.
+		annotate(w, req.Query, 0, explore.StopCanceled)
 	}
-	annotateAdmission(w, res.outcome)
-	defer res.release()
-	bw := newBufferedResponse()
-	run(bw, r)
-	var ent *resultcache.Entry
-	if bw.status == http.StatusOK && bw.stopped == "" && bw.buf.Len() <= maxCacheEntryBytes {
-		ent = newEntry(bw.buf.Bytes(), bw.paths, bw.window)
-	}
-	if leader {
-		cache.Finish(key, f, ent)
-		finished = true
-	} else if ent != nil {
-		cache.Put(key, ent)
-	}
-	bw.deliver(w, "miss")
 }
 
 // degradedSuffix is spliced into a replayed body's top-level object when
@@ -347,10 +314,9 @@ func injectDegraded(body []byte) []byte {
 // response: X-Cache: stale, "degraded":true in the body, recorded in
 // usage as a degraded stale serve.
 func replayStale(w http.ResponseWriter, ent *resultcache.Entry) {
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.cache = "stale"
-		rec.degraded = true
-		rec.window, rec.paths = ent.Window, ent.Paths
+	if ev := usageEvent(w); ev != nil {
+		ev.Cache, ev.Degraded = "stale", true
+		ev.Window, ev.Paths = ent.Window, ent.Paths
 	}
 	w.Header().Set("X-Cache", "stale")
 	w.Header().Set("Content-Type", "application/json")
@@ -359,43 +325,26 @@ func replayStale(w http.ResponseWriter, ent *resultcache.Entry) {
 }
 
 // revalidate computes a fresh answer for a stale-served request in the
-// background — the stale-while-revalidate half of brownout mode. It is
-// strictly best-effort: it runs only when it can take a slot without
-// queueing (degraded means slots are scarce) and when no identical
-// computation is already in flight, and it gives up silently on any
-// failure (the next request just misses again).
-func (s *Server) revalidate(t *tenantState, r *http.Request, cache *resultcache.Cache, key resultcache.Key, run http.HandlerFunc) {
-	f, leader := cache.Join(key)
-	if !leader {
-		return
-	}
-	release, ok := s.adm().TryAcquire()
-	if !ok {
-		cache.Finish(key, f, nil)
-		return
-	}
+// background — the stale-while-revalidate half of brownout mode — as a
+// try unit: it gives up at once when an identical run is in flight or
+// when the tenant quota or the global pool has no free slot (degraded
+// means slots are scarce; it never queues), and silently on any failure
+// (the next request just misses again).
+func (s *Server) revalidate(u unit, r *http.Request, run http.HandlerFunc) {
 	// The request context dies when the handler returns; the background
 	// run gets a fresh one bounded by runCtx's usual caps.
 	bg := r.Clone(context.Background())
+	u.try = true
 	go func() {
-		defer release()
-		finished := false
 		defer func() {
 			if p := recover(); p != nil {
-				log.Printf("server: tenant %s: panic in background revalidation: %v", t.id, p)
-			}
-			if !finished {
-				cache.Finish(key, f, nil)
+				log.Printf("server: tenant %s: panic in background revalidation: %v", u.t.id, p)
 			}
 		}()
-		bw := newBufferedResponse()
-		run(bw, bg)
-		var ent *resultcache.Entry
-		if bw.status == http.StatusOK && bw.stopped == "" && bw.buf.Len() <= maxCacheEntryBytes {
-			ent = newEntry(bw.buf.Bytes(), bw.paths, bw.window)
-		}
-		cache.Finish(key, f, ent)
-		finished = true
+		s.runUnit(bg.Context(), u, func(context.Context) (*resultcache.Entry, bool, error) {
+			_, ent := runBuffered(run, bg)
+			return ent, ent != nil, nil
+		})
 	}()
 }
 

@@ -18,7 +18,7 @@ import (
 func canonKey(t *testing.T, s *Server, endpoint string, req *ExploreRequest) interface{} {
 	t.Helper()
 	canonicalize(s.Navigator(), req)
-	key, ok := exploreKey(s.Cache, 0, endpoint, req)
+	key, ok := exploreKey(0, endpoint, req)
 	if !ok {
 		t.Fatal("exploreKey unusable on a cache-enabled server")
 	}

@@ -288,17 +288,17 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 	sum, runErr := runner.Run(r.Context(), members, func(rec cohort.MemberRecord) error {
 		return sw.record(cohortMemberRecord{Member: rec})
 	})
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.cohort = true
-		rec.cohortMembers = int64(sum.Members)
-		rec.cohortCoalesced = sum.Coalesced
+	if ev := usageEvent(w); ev != nil {
+		ev.Cohort = true
+		ev.CohortMembers = int64(sum.Members)
+		ev.CohortCoalesced = sum.Coalesced
 		sst := shared.Stats()
-		rec.cohortSharedHits = sst.Hits
-		rec.cohortDPReused = sst.DPReused
-		rec.cohortCancelled = runErr != nil &&
+		ev.CohortSharedHits = sst.Hits
+		ev.CohortDPReused = sst.DPReused
+		ev.CohortCancelled = runErr != nil &&
 			(errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) || sw.err != nil)
-		rec.window = req.Query.Start + " → " + req.Query.End
-		rec.paths = int64(sum.Members)
+		ev.Window = req.Query.Start + " → " + req.Query.End
+		ev.Paths = int64(sum.Members)
 	}
 	s.finishStream(w, sw, runErr, cohortSummaryRecord{Summary: sum})
 }
@@ -442,7 +442,7 @@ func (p *serverPlanner) Count(ctx context.Context, m cohort.Member, end string, 
 	}
 	req := p.unitReq(m, end, true)
 	var stopped string
-	ent, how, err := p.s.runUnit(ctx, p.t, p.gen, endpoint, req, func(ctx context.Context) (*resultcache.Entry, bool, error) {
+	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, endpoint, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
 		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
 		defer cancel()
 		goal, err := p.goalFor(nav)
@@ -486,7 +486,7 @@ func (p *serverPlanner) CountHorizons(ctx context.Context, m cohort.Member, end 
 		return cohort.HorizonCounts{}, err
 	}
 	req := p.unitReq(m, end, true)
-	ent, how, err := p.s.runUnit(ctx, p.t, p.gen, endpoint, req, func(ctx context.Context) (*resultcache.Entry, bool, error) {
+	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, endpoint, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
 		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
 		defer cancel()
 		goal, err := p.goalFor(nav)
@@ -525,7 +525,7 @@ func (p *serverPlanner) sharedUnit(ctx context.Context, m cohort.Member, end str
 		return cohort.CountResult{}, err
 	}
 	req := p.unitReq(m, end, true)
-	ent, how, err := p.s.runUnit(ctx, p.t, p.gen, endpoint, req, func(ctx context.Context) (*resultcache.Entry, bool, error) {
+	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, endpoint, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
 		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
 		defer cancel()
 		began := time.Now()
@@ -561,7 +561,7 @@ func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, 
 		return cohort.HorizonCounts{}, err
 	}
 	req := p.unitReq(m, end, true)
-	ent, how, err := p.s.runUnit(ctx, p.t, p.gen, endpoint, req, func(ctx context.Context) (*resultcache.Entry, bool, error) {
+	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, endpoint, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
 		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
 		defer cancel()
 		sc, err := exec(ctx)
@@ -596,7 +596,7 @@ func (p *serverPlanner) Replan(ctx context.Context, m cohort.Member, end string)
 		return cohort.Replan{}, err
 	}
 	req := p.unitReq(m, end, false)
-	ent, how, err := p.s.runUnit(ctx, p.t, p.gen, endpoint, req, func(ctx context.Context) (*resultcache.Entry, bool, error) {
+	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, endpoint, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
 		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
 		defer cancel()
 		goal, err := p.goalFor(nav)

@@ -100,3 +100,61 @@ func TestCacheEntriesUseNewEntry(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineHasOneImplementation: runUnit is the serving pipeline's
+// only implementation, so no other non-test function joins or finishes a
+// result-cache flight. Calls on an imported package (strings.Join) are
+// not flights.
+func TestPipelineHasOneImplementation(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	inRunUnit := map[string]int{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs := map[string]bool{}
+		for _, imp := range f.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			pkgs[path[strings.LastIndex(path, "/")+1:]] = true
+			if imp.Name != nil {
+				pkgs[imp.Name.Name] = true
+			}
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Join" && sel.Sel.Name != "Finish") {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && pkgs[x.Name] {
+					return true
+				}
+				if fn.Name.Name == "runUnit" {
+					inRunUnit[sel.Sel.Name]++
+					return true
+				}
+				t.Errorf("%s: %s calls %s on the result cache; run the unit through runUnit", fset.Position(call.Pos()), fn.Name.Name, sel.Sel.Name)
+				return true
+			})
+		}
+	}
+	if inRunUnit["Join"] != 1 || inRunUnit["Finish"] == 0 {
+		t.Errorf("runUnit calls Join %d and Finish %d times; the guard no longer recognises the pipeline", inRunUnit["Join"], inRunUnit["Finish"])
+	}
+}

@@ -272,17 +272,17 @@ func (s *Server) handleReload(t *tenantState, w http.ResponseWriter, r *http.Req
 			"hot reload is not configured; give tenant %q a reloadable catalog source", t.id)
 		return
 	}
-	if rec, ok := w.(*statusRecorder); ok {
+	if ev := usageEvent(w); ev != nil {
 		if st.OK {
-			rec.reload = "applied"
+			ev.Reload = "applied"
 		} else {
-			rec.reload = "rejected"
+			ev.Reload = "rejected"
 		}
 		switch {
 		case st.BreakerTripped:
-			rec.breaker = "tripped"
+			ev.Breaker = "tripped"
 		case st.BreakerOpen:
-			rec.breaker = "open"
+			ev.Breaker = "open"
 		}
 	}
 	if !st.OK {

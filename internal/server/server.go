@@ -264,8 +264,8 @@ func New(nav *coursenav.Navigator) *Server {
 		{"GET /catalog", s.handleCatalog},
 		{"GET /courses/{id}", s.handleCourse},
 		{"GET /options", s.handleOptions},
-		// Explore handlers manage the concurrency quotas themselves (via
-		// serveCached/runLimited): cache hits and coalesced followers
+		// Explore handlers admit through the serving pipeline themselves
+		// (serveCached, serveStream): cache hits and coalesced followers
 		// never occupy an exploration slot.
 		{"POST /explore/deadline", s.handleDeadline},
 		{"POST /explore/goal", s.handleGoal},
@@ -306,7 +306,7 @@ func (s *Server) Routes() []string {
 // A handler panic is recovered into the v1 internal error envelope with
 // a logged stack, so one poisoned request cannot kill the process.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	rec := &statusRecorder{ResponseWriter: w, ev: usage.Event{Status: http.StatusOK}}
 	began := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
@@ -331,32 +331,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 					"internal server error handling %s %s", r.Method, r.URL.Path)
 			}
 		}
-		s.Usage.Record(usage.Event{
-			When:             time.Now(),
-			Endpoint:         r.Method + " " + canonicalPath(r.URL.Path),
-			Tenant:           rec.tenant,
-			Window:           rec.window,
-			Paths:            rec.paths,
-			Stopped:          rec.stopped,
-			Reload:           rec.reload,
-			Streamed:         rec.streamed,
-			StreamedPaths:    rec.streamedPaths,
-			WriteAborted:     rec.writeErr != nil,
-			Cache:            rec.cache,
-			DAG:              rec.dag,
-			DAGNodes:         rec.dagNodes,
-			Admission:        rec.admission,
-			Breaker:          rec.breaker,
-			Degraded:         rec.degraded,
-			Cohort:           rec.cohort,
-			CohortMembers:    rec.cohortMembers,
-			CohortCoalesced:  rec.cohortCoalesced,
-			CohortCancelled:  rec.cohortCancelled,
-			CohortSharedHits: rec.cohortSharedHits,
-			CohortDPReused:   rec.cohortDPReused,
-			Duration:         time.Since(began),
-			Status:           rec.status,
-		})
+		rec.ev.When = time.Now()
+		rec.ev.Endpoint = r.Method + " " + canonicalPath(r.URL.Path)
+		rec.ev.WriteAborted = rec.writeErr != nil
+		rec.ev.Duration = time.Since(began)
+		s.Usage.Record(rec.ev)
 	}()
 	// The handler-entry chaos seam: an injected error answers 503 before
 	// dispatch, injected latency delays it, an injected panic exercises
@@ -401,57 +380,25 @@ func (s *Server) acquire() (release func(), ok bool) {
 	return s.adm().TryAcquire()
 }
 
-// statusRecorder captures the response status and lets handlers annotate
-// the usage event with exploration details. It also remembers the first
-// response-write failure — on a streamed response that is the client
-// hanging up mid-stream, which usage reports as a write abort.
+// statusRecorder carries the request's usage event, which handlers
+// annotate (usageEvent) and ServeHTTP records with the status, endpoint
+// and timing filled in. It also remembers the first response-write
+// failure — on a streamed response that is the client hanging up
+// mid-stream, which usage reports as a write abort.
 type statusRecorder struct {
 	http.ResponseWriter
-	status        int
-	wroteHeader   bool
-	tenant        string
-	window        string
-	paths         int64
-	stopped       string
-	reload        string
-	streamed      bool
-	streamedPaths int64
-	writeErr      error
-	cache         string
-	dag           bool
-	dagNodes      int64
-	admission     string
-	breaker       string
-	degraded      bool
+	ev          usage.Event
+	wroteHeader bool
+	writeErr    error
 	// ndjson marks that the response committed to NDJSON stream framing
 	// (the stream writer put the 200 + x-ndjson header on the wire), so
 	// the panic recovery must close the stream with an in-band error
 	// record rather than an envelope.
 	ndjson bool
-	// Cohort job tallies (see cohort.go): members replanned, units
-	// answered from the cache or a coalesced flight, and whether the
-	// job ended by client cancellation mid-stream.
-	cohort          bool
-	cohortMembers   int64
-	cohortCoalesced int64
-	cohortCancelled bool
-	// Shared-substrate tallies (cohort jobs): units answered by a pure
-	// substrate root lookup, and statuses whose DP results were reused
-	// across member builds.
-	cohortSharedHits int64
-	cohortDPReused   int64
-}
-
-func (r *statusRecorder) setExplore(window string, paths int64, stopped string) {
-	r.window, r.paths, r.stopped = window, paths, stopped
-}
-
-func (r *statusRecorder) setDAG(nodes int64) {
-	r.dag, r.dagNodes = true, nodes
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
+	r.ev.Status = code
 	r.wroteHeader = true
 	r.ResponseWriter.WriteHeader(code)
 }
@@ -920,22 +867,18 @@ func (s *Server) handleDeadline(t *tenantState, w http.ResponseWriter, r *http.R
 		if !streamable(w, &req) {
 			return
 		}
-		release, ok := s.admitExplore(t, w, r, &req, "deadline")
-		if !ok {
-			return
-		}
-		defer release()
-		var collected *coursenav.Graph
-		sum, complete := s.streamPaths(w, r, &req, func(ctx context.Context, fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
-			g, sum, err := nav.DeadlineStreamCollect(ctx, s.query(req.Query, req.Budget), s.NodeBudget, fn)
-			collected = g
-			return sum, err
-		})
-		if complete && collected != nil {
-			if key, ok := exploreKey(t.resultCache(), gen, "deadline", &req); ok {
-				t.resultCache().Put(key, s.graphEntry(req.Query, sum, collected, sum.Paths))
+		s.serveStream(t, w, r, &req, "deadline", gen, func(publish bool) *resultcache.Entry {
+			var collected *coursenav.Graph
+			sum, complete := s.streamPaths(w, r, &req, func(ctx context.Context, fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
+				g, sum, err := nav.DeadlineStreamCollect(ctx, s.query(req.Query, req.Budget), s.NodeBudget, fn)
+				collected = g
+				return sum, err
+			})
+			if !publish || !complete || collected == nil {
+				return nil
 			}
-		}
+			return s.graphEntry(req.Query, sum, collected, sum.Paths)
+		})
 		return
 	}
 	s.serveCached(t, w, r, &req, "deadline", gen, func(w http.ResponseWriter, r *http.Request) {
@@ -977,22 +920,18 @@ func (s *Server) handleGoal(t *tenantState, w http.ResponseWriter, r *http.Reque
 		if !ok {
 			return
 		}
-		release, okAcq := s.admitExplore(t, w, r, &req, "goal")
-		if !okAcq {
-			return
-		}
-		defer release()
-		var collected *coursenav.Graph
-		sum, complete := s.streamPaths(w, r, &req, func(ctx context.Context, fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
-			g, sum, err := nav.GoalStreamCollect(ctx, s.query(req.Query, req.Budget), goal, s.NodeBudget, fn)
-			collected = g
-			return sum, err
-		})
-		if complete && collected != nil {
-			if key, ok := exploreKey(t.resultCache(), gen, "goal", &req); ok {
-				t.resultCache().Put(key, s.graphEntry(req.Query, sum, collected, sum.GoalPaths))
+		s.serveStream(t, w, r, &req, "goal", gen, func(publish bool) *resultcache.Entry {
+			var collected *coursenav.Graph
+			sum, complete := s.streamPaths(w, r, &req, func(ctx context.Context, fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
+				g, sum, err := nav.GoalStreamCollect(ctx, s.query(req.Query, req.Budget), goal, s.NodeBudget, fn)
+				collected = g
+				return sum, err
+			})
+			if !publish || !complete || collected == nil {
+				return nil
 			}
-		}
+			return s.graphEntry(req.Query, sum, collected, sum.GoalPaths)
+		})
 		return
 	}
 	s.serveCached(t, w, r, &req, "goal", gen, func(w http.ResponseWriter, r *http.Request) {
@@ -1040,33 +979,29 @@ func (s *Server) handleRanked(t *tenantState, w http.ResponseWriter, r *http.Req
 		if !ok {
 			return
 		}
-		release, okAcq := s.admitExplore(t, w, r, &req, "ranked")
-		if !okAcq {
-			return
-		}
-		defer release()
 		// The stream delivers paths in rank order — exactly the slice the
 		// non-streaming response carries — so a clean run can populate the
 		// cache for future non-streaming requests.
-		ranked := []coursenav.Path{}
-		sum, complete := s.streamPaths(w, r, &req, func(ctx context.Context, fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
-			collect := func(p coursenav.StreamedPath) error {
-				if err := fn(p); err != nil {
-					return err
+		s.serveStream(t, w, r, &req, "ranked", gen, func(publish bool) *resultcache.Entry {
+			ranked := []coursenav.Path{}
+			sum, complete := s.streamPaths(w, r, &req, func(ctx context.Context, fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
+				collect := func(p coursenav.StreamedPath) error {
+					if err := fn(p); err != nil {
+						return err
+					}
+					ranked = append(ranked, p.Path)
+					return nil
 				}
-				ranked = append(ranked, p.Path)
+				if len(req.Weights) > 0 {
+					return nav.TopKWeightedStream(ctx, s.query(req.Query, req.Budget), goal, req.Weights, req.K, collect)
+				}
+				return nav.TopKStream(ctx, s.query(req.Query, req.Budget), goal, req.Ranking, req.K, collect)
+			})
+			if !publish || !complete {
 				return nil
 			}
-			if len(req.Weights) > 0 {
-				return nav.TopKWeightedStream(ctx, s.query(req.Query, req.Budget), goal, req.Weights, req.K, collect)
-			}
-			return nav.TopKStream(ctx, s.query(req.Query, req.Budget), goal, req.Ranking, req.K, collect)
+			return s.rankedEntry(req.Query, sum, ranked)
 		})
-		if complete {
-			if key, ok := exploreKey(t.resultCache(), gen, "ranked", &req); ok {
-				t.resultCache().Put(key, s.rankedEntry(req.Query, sum, ranked))
-			}
-		}
 		return
 	}
 	s.serveCached(t, w, r, &req, "ranked", gen, func(w http.ResponseWriter, r *http.Request) {
@@ -1151,15 +1086,13 @@ func (s *Server) handleWhatIf(t *tenantState, w http.ResponseWriter, r *http.Req
 		if !ok {
 			return
 		}
-		release, okAcq := s.admitExplore(t, w, r, &req, "whatif")
-		if !okAcq {
-			return
-		}
-		defer release()
 		// Streamed what-if delivers selections in enumeration order while
 		// the non-streaming response sorts by impact, so a stream never
 		// populates the whatif cache.
-		s.streamWhatIf(w, r, &req, nav, goal)
+		s.serveStream(t, w, r, &req, "whatif", gen, func(bool) *resultcache.Entry {
+			s.streamWhatIf(w, r, &req, nav, goal)
+			return nil
+		})
 		return
 	}
 	s.serveCached(t, w, r, &req, "whatif", gen, func(w http.ResponseWriter, r *http.Request) {

@@ -26,6 +26,7 @@ import (
 	"repro"
 	"repro/internal/chaos"
 	"repro/internal/explore"
+	"repro/internal/resultcache"
 )
 
 // wantsStream reports whether the request opted into NDJSON streaming.
@@ -35,6 +36,26 @@ func wantsStream(r *http.Request) bool {
 		return true
 	}
 	return false
+}
+
+// serveStream is the ?stream=1 side of the serving pipeline: it derives
+// the request's key, admits the run under it and publishes the entry of
+// a complete run. Streams never read the cache — their value is
+// incremental delivery — and join no flight. run streams the response
+// and returns the entry to publish, or nil; publish tells it whether a
+// cache partition will take one, so it renders nothing otherwise.
+func (s *Server) serveStream(t *tenantState, w http.ResponseWriter, r *http.Request, req *ExploreRequest, endpoint string, gen uint64, run func(publish bool) *resultcache.Entry) {
+	u := newUnit(t, gen, endpoint, req)
+	res, ok := s.admit(r.Context(), u)
+	if !ok {
+		s.writeShed(t, w, res)
+		return
+	}
+	annotateAdmission(w, res.outcome)
+	defer res.release()
+	if ent := run(u.cache != nil); ent != nil && u.cache != nil {
+		u.cache.Put(u.key, ent)
+	}
 }
 
 // streamable rejects request shapes that cannot stream: countOnly runs
@@ -125,9 +146,8 @@ type summaryRecord struct {
 // failed before any record fell back to the plain JSON envelope; a dead
 // socket gets nothing.
 func (s *Server) finishStream(w http.ResponseWriter, sw *streamWriter, err error, trailer interface{}) {
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.streamed = sw.started
-		rec.streamedPaths = sw.paths
+	if ev := usageEvent(w); ev != nil {
+		ev.Streamed, ev.StreamedPaths = sw.started, sw.paths
 	}
 	switch {
 	case err == nil:

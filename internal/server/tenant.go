@@ -186,8 +186,8 @@ func (s *Server) defaultTenant() *tenantState {
 func (s *Server) withDefault(h tenantHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t := s.defaultTenant()
-		if rec, ok := w.(*statusRecorder); ok {
-			rec.tenant = t.id
+		if ev := usageEvent(w); ev != nil {
+			ev.Tenant = t.id
 		}
 		h(t, w, r)
 	}
@@ -206,8 +206,8 @@ func (s *Server) withTenant(h tenantHandler) http.HandlerFunc {
 				"unknown tenant %q", id)
 			return
 		}
-		if rec, ok := w.(*statusRecorder); ok {
-			rec.tenant = t.id
+		if ev := usageEvent(w); ev != nil {
+			ev.Tenant = t.id
 		}
 		h(t, w, r)
 	}

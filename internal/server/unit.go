@@ -1,30 +1,62 @@
-// The unit-of-work layer: one canonical exploration executed through
-// the full serving pipeline — result cache, singleflight coalescing,
-// two-level cost-aware admission — without an http.ResponseWriter in
-// sight.
+// The serving pipeline: one canonical exploration run through the result
+// cache, singleflight coalescing and two-level cost-aware admission,
+// without an http.ResponseWriter in sight.
 //
-// The interactive handlers grew this pipeline request-by-request
-// (serveCached keeps the HTTP-specific outer shell: stale-while-
-// revalidate, envelope errors, usage annotation). runUnit is the same
-// pipeline refactored for callers that issue MANY explorations per
-// request: the cohort endpoint replans each member as one unit here, so
-// every member is individually costed by the admission estimator,
-// individually budgeted (unitCtx), and keyed into the same result cache
-// interactive traffic uses — members sharing a canonical sub-request
-// coalesce with each other and with live interactive requests instead
-// of recomputing.
+// runUnit is the pipeline's only implementation. Every caller derives
+// its unit's key once (newUnit) and hands it over:
+//
+//   - serveCached (cache.go), the HTTP shell of the non-streaming explore
+//     handlers: it adds stale-while-revalidate, the shed envelope and the
+//     usage annotations, and runs the handler into a buffer as exec;
+//   - revalidate (cache.go), brownout's background refresh, as a try unit
+//     that never waits;
+//   - the cohort planners (cohort.go), which replan each member as units:
+//     every member is individually costed by the admission estimator,
+//     individually budgeted (unitCtx) and keyed into the same result
+//     cache interactive traffic uses, so members sharing a canonical
+//     sub-request coalesce with each other and with live requests.
+//
+// Streams (serveStream, stream.go) never read the cache; they share the
+// key, the admission gate and the publish of a complete run only.
 package server
 
 import (
 	"context"
-	"fmt"
 
+	"repro/internal/admission"
 	"repro/internal/resultcache"
 )
 
+// unit is one canonicalized exploration on its way through the pipeline.
+type unit struct {
+	t   *tenantState
+	req *ExploreRequest
+	// key identifies the request in the tenant's cache partition; its
+	// generation-free digest, with the tenant folded in, also keys the
+	// admission estimator. keyed is false only when the request could not
+	// be encoded: the unit then runs uncached and seed-priced.
+	key   resultcache.Key
+	keyed bool
+	// cache is the tenant's partition, nil when disabled (or !keyed).
+	cache *resultcache.Cache
+	// try marks a unit that never waits: not on an identical in-flight
+	// run, not in the admission queue (background revalidation).
+	try bool
+}
+
+// newUnit derives req's key, encoding and hashing the request once. req
+// must be canonical (canonicalize) and is not copied: the unit runs the
+// very request its key was derived from.
+func newUnit(t *tenantState, gen uint64, endpoint string, req *ExploreRequest) unit {
+	u := unit{t: t, req: req}
+	if u.key, u.keyed = exploreKey(gen, endpoint, req); u.keyed {
+		u.cache = t.resultCache()
+	}
+	return u
+}
+
 // unitShedError reports a unit refused by admission. Cohort records it
-// on the member and continues; batch callers can rate the shed via
-// Result (outcome string) and RetryAfter.
+// on the member and continues; the HTTP shell answers it (writeShed).
 type unitShedError struct {
 	res admitResult
 }
@@ -36,81 +68,74 @@ func (e *unitShedError) Error() string {
 	return "unit shed: " + e.res.outcome.String()
 }
 
-// shedResult exposes the admission decision behind a unit error, when
-// there is one.
-func shedResult(err error) (admitResult, bool) {
-	if se, ok := err.(*unitShedError); ok {
-		return se.res, true
-	}
-	return admitResult{}, false
-}
-
-// runUnit executes one canonicalized exploration unit against a
-// tenant's snapshot generation:
+// runUnit runs one unit through the serving pipeline:
 //
 //  1. cache Get — an identical completed unit replays instantly ("hit")
-//  2. flight Join — an identical in-flight unit is awaited ("coalesced")
-//  3. admission — the unit is priced and admitted through the same
-//     two-level gate as an interactive request (shed → *unitShedError)
-//  4. exec computes the entry; cacheOK entries are published to the
-//     cache/flight for followers ("miss")
+//  2. flight Join — an identical in-flight unit is awaited ("coalesced");
+//     a follower whose context ends first returns its error having run
+//     nothing, and one whose leader published nothing computes itself
+//  3. admission — the two-level gate an interactive request passes
+//     (shed → *unitShedError); outcome reports how it admitted
+//  4. exec computes the unit; an entry it marks publishable goes to the
+//     cache and the flight's followers ("miss")
 //
-// exec receives the caller's context and must apply its own unitCtx
-// budget. The returned entry is never nil on success; how is one of
-// "hit", "coalesced", "miss". A leader that fails finishes its flight
-// empty so followers compute individually rather than hang.
-func (s *Server) runUnit(ctx context.Context, t *tenantState, gen uint64, endpoint string, req *ExploreRequest, exec func(context.Context) (*resultcache.Entry, bool, error)) (*resultcache.Entry, string, error) {
-	cache := t.resultCache()
-	key, cacheable := exploreKey(cache, gen, endpoint, req)
+// With the tenant's partition disabled, steps 1 and 2 and the publish are
+// skipped; the unit still reports "miss". A try unit returns at once ("coalesced", no
+// entry) when an identical run is in flight, and admits only onto a free
+// tenant-quota slot and a free global slot.
+//
+// exec receives the caller's context and applies its own budget. It
+// returns the unit's entry (nil when it has nothing to hand back),
+// whether that entry may be published, and an error. A leader that
+// publishes nothing — exec failed, panicked or was shed — finishes its
+// flight empty in the one deferred cleanup below, so followers compute
+// on their own rather than hang.
+func (s *Server) runUnit(ctx context.Context, u unit, exec func(context.Context) (*resultcache.Entry, bool, error)) (ent *resultcache.Entry, how string, outcome admission.Outcome, err error) {
 	var flight *resultcache.Flight
 	leader := false
-	if cacheable {
-		if ent, ok := cache.Get(key); ok {
-			return ent, "hit", nil
+	if u.cache != nil {
+		if ent, ok := u.cache.Get(u.key); ok {
+			return ent, "hit", admission.Admitted, nil
 		}
-		flight, leader = cache.Join(key)
+		flight, leader = u.cache.Join(u.key)
 		if !leader {
+			if u.try {
+				return nil, "coalesced", admission.Admitted, nil
+			}
 			if ent := flight.Wait(ctx); ent != nil {
-				return ent, "coalesced", nil
+				return ent, "coalesced", admission.Admitted, nil
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, "", err
+				return nil, "", admission.Admitted, err
 			}
-			// The leader produced nothing cacheable (error, budget-stopped
-			// run, oversized render): compute individually.
 		}
 	}
 	finished := false
 	if leader {
-		// A panicking or failing exec must not leave followers blocked on
-		// the flight: finish it empty on any non-publishing exit.
 		defer func() {
 			if !finished {
-				cache.Finish(key, flight, nil)
+				u.cache.Finish(u.key, flight, nil)
 			}
 		}()
 	}
-	res, ok := s.admit(t, ctx, req, endpoint)
+	res, ok := s.admit(ctx, u)
 	if !ok {
-		return nil, "", &unitShedError{res: res}
+		return nil, "", res.outcome, &unitShedError{res: res}
 	}
 	defer res.release()
-	ent, cacheOK, err := exec(ctx)
+	ent, publish, err := exec(ctx)
 	if err != nil {
-		return nil, "", err
+		return nil, "", res.outcome, err
 	}
-	if ent == nil {
-		return nil, "", fmt.Errorf("server: unit exec returned no entry")
-	}
-	publish := ent
-	if !cacheOK {
-		publish = nil
+	pub := ent
+	if !publish {
+		pub = nil
 	}
 	if leader {
-		cache.Finish(key, flight, publish)
+		u.cache.Finish(u.key, flight, pub)
 		finished = true
-	} else if cacheable && publish != nil {
-		cache.Put(key, publish)
+	} else if u.cache != nil && pub != nil {
+		u.cache.Put(u.key, pub)
 	}
-	return ent, "miss", nil
+	return ent, "miss", res.outcome, nil
 }
