@@ -47,8 +47,12 @@ const (
 	// disabled).
 	ShedQueueFull
 	// ShedTimeout: queued, but the queue timeout or the request's own
-	// context expired before a slot freed.
+	// deadline expired before a slot freed.
 	ShedTimeout
+	// Canceled: queued, and the request's context was cancelled — its
+	// client left — before a slot freed. Not a shed: nobody waits for an
+	// answer, so it counts nothing and does not latch brownout.
+	Canceled
 )
 
 // String returns the stable label recorded in usage events.
@@ -64,12 +68,15 @@ func (o Outcome) String() string {
 		return "shed_queue_full"
 	case ShedTimeout:
 		return "queue_timeout"
+	case Canceled:
+		return "canceled"
 	}
 	return "unknown"
 }
 
-// Shed reports whether the outcome denied the request a slot.
-func (o Outcome) Shed() bool { return o >= ShedCostly }
+// Shed reports whether the outcome denied the request a slot under
+// pressure (a Canceled request gave its place up).
+func (o Outcome) Shed() bool { return o >= ShedCostly && o <= ShedTimeout }
 
 // State is the controller's brownout health state.
 type State int
@@ -188,7 +195,12 @@ func (c *Controller) Acquire(ctx context.Context, costMs float64) (release func(
 		c.shed(&c.shedTimeout)
 		return nil, ShedTimeout
 	case <-ctx.Done():
-		// The client gave up while queued; same disposition as a timeout.
+		if ctx.Err() == context.Canceled {
+			// The client left while queued: nothing was refused, so
+			// nothing is counted and no pressure is signalled.
+			return nil, Canceled
+		}
+		// The request's own deadline expired first: a timeout.
 		c.shed(&c.shedTimeout)
 		return nil, ShedTimeout
 	}

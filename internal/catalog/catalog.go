@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/expr"
+	"repro/internal/jsonenc"
 	"repro/internal/term"
 )
 
@@ -42,7 +43,12 @@ type Catalog struct {
 	// foldID maps a case-folded course ID to its dense index, for
 	// Canonical. IDs whose folded forms collide are left out, so folded
 	// lookup never guesses between distinct courses.
-	foldID   map[string]int
+	foldID map[string]int
+	// idJSON holds every course ID as a JSON string literal, escaped once
+	// when the catalog is built, for the response renderer: course i's
+	// literal ends at idEnd[i] and starts where course i-1's ends.
+	idJSON   string
+	idEnd    []int32
 	compiled []expr.Compiled
 	// offered maps a term ordinal to the set of courses offered that term.
 	offered map[int]bitset.Set
@@ -116,14 +122,23 @@ func (b *Builder) Build() (*Catalog, error) {
 		cal:      b.cal,
 		courses:  append([]Course(nil), b.courses...),
 		byID:     make(map[string]int, n),
+		idEnd:    make([]int32, n),
 		compiled: make([]expr.Compiled, n),
 		offered:  map[int]bitset.Set{},
 		minOrd:   -1,
 		maxOrd:   -1,
 	}
+	size := 0
 	for i, c := range cat.courses {
 		cat.byID[c.ID] = i
+		size += len(c.ID) + 2
 	}
+	lits := make([]byte, 0, size)
+	for i, c := range cat.courses {
+		lits = jsonenc.String(lits, c.ID)
+		cat.idEnd[i] = int32(len(lits))
+	}
+	cat.idJSON = string(lits)
 	cat.foldID = make(map[string]int, n)
 	for i, c := range cat.courses {
 		f := strings.ToUpper(c.ID)
@@ -254,6 +269,18 @@ func (c *Catalog) Canonical(id string) (string, bool) {
 
 // ID returns the course ID at dense index i.
 func (c *Catalog) ID(i int) string { return c.courses[i].ID }
+
+// AppendIDJSON appends course i's ID as a JSON string literal, quoted
+// and escaped exactly as encoding/json writes it. The literal is built
+// once per catalog (catalogs never change after Build), so rendering a
+// course set costs one copy per member.
+func (c *Catalog) AppendIDJSON(dst []byte, i int) []byte {
+	start := int32(0)
+	if i > 0 {
+		start = c.idEnd[i-1]
+	}
+	return append(dst, c.idJSON[start:c.idEnd[i]]...)
+}
 
 // IDs converts a course bitset to sorted course IDs.
 func (c *Catalog) IDs(s bitset.Set) []string {

@@ -115,7 +115,10 @@ type admitResult struct {
 // counted as a shed nor latches brownout). On admission the release func
 // returns both slots and records the run's wall time under the unit's
 // cost key. Nothing is written on a shed — the caller answers (writeShed,
-// a stale fallback, or a per-member error record in a cohort run).
+// a stale fallback, or a per-member error record in a cohort run). A
+// request whose client left while it queued comes back not ok with
+// outcome admission.Canceled, which is no shed: the caller answers
+// nothing.
 func (s *Server) admit(ctx context.Context, u unit) (admitResult, bool) {
 	relQuota, ok := u.t.acquireQuota()
 	if !ok {
@@ -142,6 +145,10 @@ func (s *Server) admit(ctx context.Context, u unit) (admitResult, bool) {
 		}
 	} else {
 		release, outcome = s.adm().Acquire(ctx, est)
+	}
+	if outcome == admission.Canceled {
+		relQuota()
+		return admitResult{outcome: outcome}, false
 	}
 	if outcome.Shed() {
 		relQuota()

@@ -18,7 +18,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -286,7 +285,7 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 	// outlives any single exploration's cap.
 	sw := s.newStreamWriter(w)
 	sum, runErr := runner.Run(r.Context(), members, func(rec cohort.MemberRecord) error {
-		return sw.record(cohortMemberRecord{Member: rec})
+		return sw.record(appendMemberRecord(sw.buf[:0], cohortMemberRecord{Member: rec}))
 	})
 	if ev := usageEvent(w); ev != nil {
 		ev.Cohort = true
@@ -300,7 +299,9 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 		ev.Window = req.Query.Start + " → " + req.Query.End
 		ev.Paths = int64(sum.Members)
 	}
-	s.finishStream(w, sw, runErr, cohortSummaryRecord{Summary: sum})
+	s.finishStream(w, sw, runErr, func(dst []byte) ([]byte, error) {
+		return appendCohortSummaryRecord(dst, cohortSummaryRecord{Summary: sum})
+	})
 }
 
 // cohortMembers resolves the request's member source into canonical
@@ -454,12 +455,13 @@ func (p *serverPlanner) Count(ctx context.Context, m cohort.Member, end string, 
 			return nil, false, err
 		}
 		stopped = sum.Stopped
-		var buf bytes.Buffer
-		if err := p.s.renderExploreBody(&buf, sum, nil); err != nil {
+		rb, err := p.s.renderExploreBody(sum, nil)
+		if err != nil {
 			return nil, false, err
 		}
-		ent := newEntry(buf.Bytes(), sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
-		return ent, sum.Stopped == "" && buf.Len() <= maxCacheEntryBytes, nil
+		defer rb.release()
+		ent := newEntry(rb.b, sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
+		return ent, sum.Stopped == "" && len(rb.b) <= maxCacheEntryBytes, nil
 	})
 	if err != nil {
 		return cohort.CountResult{}, err
@@ -497,18 +499,17 @@ func (p *serverPlanner) CountHorizons(ctx context.Context, m cohort.Member, end 
 		if err != nil {
 			return nil, false, err
 		}
-		blob, err := json.Marshal(horizonBody{GoalPaths: gp, Stopped: sum.Stopped})
-		if err != nil {
-			return nil, false, err
-		}
-		ent := newEntry(append(blob, '\n'), sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
+		rb := newRenderBuf()
+		defer rb.release()
+		rb.b = appendHorizonBody(rb.b, horizonBody{GoalPaths: gp, Stopped: sum.Stopped})
+		ent := newEntry(rb.b, sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
 		return ent, sum.Stopped == "" && len(ent.Body) <= maxCacheEntryBytes, nil
 	})
 	if err != nil {
 		return cohort.HorizonCounts{}, err
 	}
-	var hb horizonBody
-	if err := json.Unmarshal(ent.Body, &hb); err != nil {
+	hb, err := parseHorizonBody(ent.Body)
+	if err != nil {
 		return cohort.HorizonCounts{}, err
 	}
 	return cohort.HorizonCounts{GoalPaths: hb.GoalPaths, Stopped: hb.Stopped, Reused: how != "miss"}, nil
@@ -540,12 +541,13 @@ func (p *serverPlanner) sharedUnit(ctx context.Context, m cohort.Member, end str
 			Elapsed:   time.Since(began),
 			DAG:       true,
 		}
-		var buf bytes.Buffer
-		if err := p.s.renderExploreBody(&buf, sum, nil); err != nil {
+		rb, err := p.s.renderExploreBody(sum, nil)
+		if err != nil {
 			return nil, false, err
 		}
-		ent := newEntry(buf.Bytes(), sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
-		return ent, buf.Len() <= maxCacheEntryBytes, nil
+		defer rb.release()
+		ent := newEntry(rb.b, sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
+		return ent, len(rb.b) <= maxCacheEntryBytes, nil
 	})
 	if err != nil {
 		return cohort.CountResult{}, err
@@ -568,18 +570,17 @@ func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, 
 		if err != nil {
 			return nil, false, err
 		}
-		blob, err := json.Marshal(horizonBody{GoalPaths: sc.GoalPaths})
-		if err != nil {
-			return nil, false, err
-		}
-		ent := newEntry(append(blob, '\n'), sc.GoalPaths[0], req.Query.Start+" → "+req.Query.End)
+		rb := newRenderBuf()
+		defer rb.release()
+		rb.b = appendHorizonBody(rb.b, horizonBody{GoalPaths: sc.GoalPaths})
+		ent := newEntry(rb.b, sc.GoalPaths[0], req.Query.Start+" → "+req.Query.End)
 		return ent, len(ent.Body) <= maxCacheEntryBytes, nil
 	})
 	if err != nil {
 		return cohort.HorizonCounts{}, err
 	}
-	var hb horizonBody
-	if err := json.Unmarshal(ent.Body, &hb); err != nil {
+	hb, err := parseHorizonBody(ent.Body)
+	if err != nil {
 		return cohort.HorizonCounts{}, err
 	}
 	return cohort.HorizonCounts{GoalPaths: hb.GoalPaths, Reused: how != "miss"}, nil
@@ -587,9 +588,9 @@ func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, 
 
 // Replan implements cohort.Planner: the member's what-if unit against
 // the scenario catalog. The rendered entry body is byte-identical to
-// the interactive whatif endpoint's response (both are
-// json.Marshal(whatIfResponse) + '\n'), so for an empty scenario the
-// unit shares the interactive "whatif" cache space in both directions.
+// the interactive whatif endpoint's response (both are appendWhatIf),
+// so for an empty scenario the unit shares the interactive "whatif"
+// cache space in both directions.
 func (p *serverPlanner) Replan(ctx context.Context, m cohort.Member, end string) (cohort.Replan, error) {
 	nav, endpoint, err := p.variant(cohort.Variant{Kind: cohort.KindScenario}, "whatif")
 	if err != nil {
@@ -607,11 +608,10 @@ func (p *serverPlanner) Replan(ctx context.Context, m cohort.Member, end string)
 		if err != nil {
 			return nil, false, err
 		}
-		blob, err := json.Marshal(whatIfResponse{Selections: impacts, Stopped: stopped})
-		if err != nil {
-			return nil, false, err
-		}
-		ent := newEntry(append(blob, '\n'), int64(len(impacts)), req.Query.Start+" → "+req.Query.End)
+		rb := newRenderBuf()
+		defer rb.release()
+		rb.b = appendWhatIf(rb.b, whatIfResponse{Selections: impacts, Stopped: stopped})
+		ent := newEntry(rb.b, int64(len(impacts)), req.Query.Start+" → "+req.Query.End)
 		return ent, stopped == "" && len(ent.Body) <= maxCacheEntryBytes, nil
 	})
 	if err != nil {

@@ -20,10 +20,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"repro"
+	"repro/internal/admission"
 	"repro/internal/chaos"
 	"repro/internal/explore"
 	"repro/internal/resultcache"
@@ -48,6 +48,11 @@ func (s *Server) serveStream(t *tenantState, w http.ResponseWriter, r *http.Requ
 	u := newUnit(t, gen, endpoint, req)
 	res, ok := s.admit(r.Context(), u)
 	if !ok {
+		if res.outcome == admission.Canceled {
+			// The client left while queued: nothing to answer.
+			annotate(w, req.Query, 0, explore.StopCanceled)
+			return
+		}
 		s.writeShed(t, w, res)
 		return
 	}
@@ -72,11 +77,13 @@ func streamable(w http.ResponseWriter, req *ExploreRequest) bool {
 // streamWriter frames NDJSON records onto the response. The header is
 // written lazily with the first record, so pre-start failures still get
 // a plain 4xx JSON envelope; each record is flushed as soon as it is
-// encoded. The first write failure kills the stream (the client is
+// written. The first write failure kills the stream (the client is
 // gone — statusRecorder reports it as a write abort).
 type streamWriter struct {
-	w       http.ResponseWriter
-	enc     *json.Encoder
+	w http.ResponseWriter
+	// buf is the record buffer: each record is rendered into buf[:0]
+	// (render.go) and handed to record.
+	buf     []byte
 	flush   func()
 	chaos   *chaos.Injector
 	started bool
@@ -85,15 +92,18 @@ type streamWriter struct {
 }
 
 func (s *Server) newStreamWriter(w http.ResponseWriter) *streamWriter {
-	sw := &streamWriter{w: w, enc: json.NewEncoder(w), chaos: s.Chaos}
+	sw := &streamWriter{w: w, chaos: s.Chaos}
 	if f, ok := w.(http.Flusher); ok {
 		sw.flush = f.Flush
 	}
 	return sw
 }
 
-// record writes one NDJSON record and flushes it to the client.
-func (sw *streamWriter) record(v interface{}) error {
+// record writes one NDJSON record rendered into sw.buf and flushes it
+// to the client. renderErr is the render's failure on a value
+// encoding/json refuses: like the encoder's, it fails the stream after
+// the header, with nothing of the record written.
+func (sw *streamWriter) record(rec []byte, renderErr error) error {
 	if sw.err != nil {
 		return sw.err
 	}
@@ -117,7 +127,12 @@ func (sw *streamWriter) record(v interface{}) error {
 		sw.w.Header().Set("Content-Type", "application/x-ndjson")
 		sw.w.WriteHeader(http.StatusOK)
 	}
-	if err := sw.enc.Encode(v); err != nil {
+	if renderErr != nil {
+		sw.err = renderErr
+		return renderErr
+	}
+	sw.buf = rec[:0]
+	if _, err := sw.w.Write(rec); err != nil {
 		sw.err = err
 		return err
 	}
@@ -140,25 +155,25 @@ type summaryRecord struct {
 }
 
 // finishStream closes the stream after the run returned: a clean run
-// gets its trailing summary record; a run that failed after records went
-// out gets an in-band {"error":...} record (the status line already said
-// 200 — the error record is the only way to tell the client); a run that
-// failed before any record fell back to the plain JSON envelope; a dead
-// socket gets nothing.
-func (s *Server) finishStream(w http.ResponseWriter, sw *streamWriter, err error, trailer interface{}) {
+// gets its trailing summary record, which trailer renders; a run that
+// failed after records went out gets an in-band {"error":...} record
+// (the status line already said 200 — the error record is the only way
+// to tell the client); a run that failed before any record fell back to
+// the plain JSON envelope; a dead socket gets nothing.
+func (s *Server) finishStream(w http.ResponseWriter, sw *streamWriter, err error, trailer func(dst []byte) ([]byte, error)) {
 	if ev := usageEvent(w); ev != nil {
 		ev.Streamed, ev.StreamedPaths = sw.started, sw.paths
 	}
 	switch {
 	case err == nil:
-		_ = sw.record(trailer)
+		_ = sw.record(trailer(sw.buf[:0]))
 	case !sw.started:
 		s.writeNavErr(w, err)
 	case sw.err != nil:
 		// The write failed: the client disconnected mid-stream. The run
 		// was aborted through the callback error; nothing can be sent.
 	default:
-		_ = sw.record(errorBody{Error: errorInfo{Code: CodeInternal, Message: err.Error()}})
+		_ = sw.record(appendErrorRecord(sw.buf[:0], errorBody{Error: errorInfo{Code: CodeInternal, Message: err.Error()}}), nil)
 	}
 }
 
@@ -173,14 +188,16 @@ func (s *Server) streamPaths(w http.ResponseWriter, r *http.Request, req *Explor
 	defer cancel()
 	sw := s.newStreamWriter(w)
 	sum, err := run(ctx, func(p coursenav.StreamedPath) error {
-		if err := sw.record(pathRecord{Path: p}); err != nil {
+		if err := sw.record(appendPathRecord(sw.buf[:0], pathRecord{Path: p})); err != nil {
 			return err
 		}
 		sw.paths++
 		return nil
 	})
 	annotate(w, req.Query, sw.paths, streamStopped(sum.Stopped, sw))
-	s.finishStream(w, sw, err, summaryRecord{Summary: toSummaryBody(sum)})
+	s.finishStream(w, sw, err, func(dst []byte) ([]byte, error) {
+		return appendSummaryRecord(dst, summaryRecord{Summary: toSummaryBody(sum)})
+	})
 	return sum, err == nil && sw.err == nil && sum.Stopped == ""
 }
 
@@ -208,14 +225,16 @@ func (s *Server) streamWhatIf(w http.ResponseWriter, r *http.Request, req *Explo
 	sw := s.newStreamWriter(w)
 	var n int64
 	stopped, err := nav.WhatIfStream(ctx, s.query(req.Query, req.Budget), goal, func(im coursenav.SelectionImpact) error {
-		if err := sw.record(selectionRecord{Selection: im}); err != nil {
+		if err := sw.record(appendSelectionRecord(sw.buf[:0], selectionRecord{Selection: im}), nil); err != nil {
 			return err
 		}
 		n++
 		return nil
 	})
 	annotate(w, req.Query, n, streamStopped(stopped, sw))
-	s.finishStream(w, sw, err, whatIfSummaryRecord{Summary: whatIfStreamSummary{Selections: n, Stopped: stopped}})
+	s.finishStream(w, sw, err, func(dst []byte) ([]byte, error) {
+		return appendWhatIfSummaryRecord(dst, whatIfSummaryRecord{Summary: whatIfStreamSummary{Selections: n, Stopped: stopped}}), nil
+	})
 }
 
 // streamStopped resolves the stop reason recorded in usage: a mid-stream

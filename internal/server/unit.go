@@ -75,7 +75,8 @@ func (e *unitShedError) Error() string {
 //     a follower whose context ends first returns its error having run
 //     nothing, and one whose leader published nothing computes itself
 //  3. admission — the two-level gate an interactive request passes
-//     (shed → *unitShedError); outcome reports how it admitted
+//     (shed → *unitShedError; a caller that leaves while queued gets its
+//     context's error, with nothing shed); outcome reports how it admitted
 //  4. exec computes the unit; an entry it marks publishable goes to the
 //     cache and the flight's followers ("miss")
 //
@@ -120,6 +121,11 @@ func (s *Server) runUnit(ctx context.Context, u unit, exec func(context.Context)
 	}
 	res, ok := s.admit(ctx, u)
 	if !ok {
+		if res.outcome == admission.Canceled {
+			// The caller left while queued: like a follower whose client
+			// left, it ran nothing and there is no one to answer.
+			return nil, "", res.outcome, ctx.Err()
+		}
 		return nil, "", res.outcome, &unitShedError{res: res}
 	}
 	defer res.release()

@@ -6,13 +6,17 @@
 package viz
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
+	"strconv"
 	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/catalog"
 	"repro/internal/graph"
+	"repro/internal/jsonenc"
+	"repro/internal/term"
 )
 
 // nodeLabel renders a node like the paper's figures:
@@ -103,75 +107,144 @@ func WriteTree(w io.Writer, cat *catalog.Catalog, g *graph.Graph, maxDepth int) 
 	return rec(g.Root(), "", 0)
 }
 
-// JSONNode is the front-end form of a learning-graph node.
-type JSONNode struct {
-	ID        int      `json:"id"`
-	Term      string   `json:"term"`
-	Completed []string `json:"completed"`
-	Options   []string `json:"options"`
-	Goal      bool     `json:"goal,omitempty"`
-	Pruned    bool     `json:"pruned,omitempty"`
-}
-
-// JSONEdge is the front-end form of a learning-graph edge.
-type JSONEdge struct {
-	From      int      `json:"from"`
-	To        int      `json:"to"`
-	Selection []string `json:"selection"`
-	Cost      float64  `json:"cost,omitempty"`
-}
-
-// JSONGraph is the front-end form of a learning graph.
-type JSONGraph struct {
-	Root  int        `json:"root"`
-	Nodes []JSONNode `json:"nodes"`
-	Edges []JSONEdge `json:"edges"`
-}
-
-// ToJSON converts a learning graph to its front-end form. maxNodes ≤ 0
-// means no limit; otherwise nodes beyond the limit are dropped along with
-// their edges (breadth is preserved in ID order, which is generation
-// order) and Truncated reports how many nodes were omitted.
-func ToJSON(cat *catalog.Catalog, g *graph.Graph, maxNodes int) (JSONGraph, int) {
+// AppendJSON appends the front-end JSON document of the graph to dst:
+// root, nodes and edges, indented by two spaces and ended by a newline —
+// the bytes encoding/json's Encoder with SetIndent("", "  ") writes for
+// the document's struct form, produced without reflection. Course IDs
+// come from the catalog's escaped-ID table; each term label is escaped
+// once per render. A node's completed and options lists are arrays
+// ("[]" when empty), goal and pruned appear only when set, an edge's
+// cost only when non-zero, and "edges" is null when no edge survives.
+//
+// maxNodes ≤ 0 means no limit; otherwise nodes beyond the limit are
+// dropped along with their edges (breadth is preserved in ID order,
+// which is generation order). An edge cost encoding/json refuses (NaN,
+// ±Inf) returns dst unchanged with encoding/json's error.
+func AppendJSON(dst []byte, cat *catalog.Catalog, g *graph.Graph, maxNodes int) ([]byte, error) {
+	start := len(dst)
 	n := g.NumNodes()
-	truncated := 0
 	if maxNodes > 0 && n > maxNodes {
-		truncated = n - maxNodes
 		n = maxNodes
 	}
-	out := JSONGraph{Root: int(g.Root()), Nodes: make([]JSONNode, 0, n)}
+	var terms termLiterals
+	dst = append(dst, "{\n  \"root\": "...)
+	dst = strconv.AppendInt(dst, int64(g.Root()), 10)
+	dst = append(dst, ",\n  \"nodes\": ["...)
 	for i := 0; i < n; i++ {
 		nd := g.Node(graph.NodeID(i))
-		out.Nodes = append(out.Nodes, JSONNode{
-			ID:        i,
-			Term:      nd.Status.Term.Label(),
-			Completed: cat.IDs(nd.Status.Completed),
-			Options:   cat.IDs(nd.Status.Options),
-			Goal:      nd.Goal,
-			Pruned:    nd.Pruned,
-		})
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, "\n    {\n      \"id\": "...)
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		dst = append(dst, ",\n      \"term\": "...)
+		dst = terms.append(dst, nd.Status.Term)
+		dst = append(dst, ",\n      \"completed\": "...)
+		dst = appendIDs(dst, cat, nd.Status.Completed)
+		dst = append(dst, ",\n      \"options\": "...)
+		dst = appendIDs(dst, cat, nd.Status.Options)
+		if nd.Goal {
+			dst = append(dst, ",\n      \"goal\": true"...)
+		}
+		if nd.Pruned {
+			dst = append(dst, ",\n      \"pruned\": true"...)
+		}
+		dst = append(dst, "\n    }"...)
 	}
+	if n > 0 {
+		dst = append(dst, "\n  "...)
+	}
+	dst = append(dst, "],\n  \"edges\": "...)
+	edges := 0
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(graph.EdgeID(i))
 		if int(e.From) >= n || int(e.To) >= n {
 			continue
 		}
-		out.Edges = append(out.Edges, JSONEdge{
-			From:      int(e.From),
-			To:        int(e.To),
-			Selection: cat.IDs(e.Selection),
-			Cost:      e.Cost,
-		})
+		if edges == 0 {
+			dst = append(dst, '[')
+		} else {
+			dst = append(dst, ',')
+		}
+		edges++
+		dst = append(dst, "\n    {\n      \"from\": "...)
+		dst = strconv.AppendInt(dst, int64(e.From), 10)
+		dst = append(dst, ",\n      \"to\": "...)
+		dst = strconv.AppendInt(dst, int64(e.To), 10)
+		dst = append(dst, ",\n      \"selection\": "...)
+		dst = appendIDs(dst, cat, e.Selection)
+		if e.Cost != 0 {
+			dst = append(dst, ",\n      \"cost\": "...)
+			var err error
+			if dst, err = jsonenc.Float(dst, e.Cost); err != nil {
+				return dst[:start], err
+			}
+		}
+		dst = append(dst, "\n    }"...)
 	}
-	return out, truncated
+	if edges == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, "\n  ]"...)
+	}
+	return append(dst, "\n}\n"...), nil
 }
 
-// WriteJSON writes the front-end JSON form of the graph.
+// appendIDs appends a course set as the document's indented array of
+// ID strings, at a node field's depth.
+func appendIDs(dst []byte, cat *catalog.Catalog, s bitset.Set) []byte {
+	dst = append(dst, '[')
+	first := true
+	for wi, w := range s.Words() {
+		for w != 0 {
+			if first {
+				first = false
+			} else {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, "\n        "...)
+			dst = cat.AppendIDJSON(dst, wi*64+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	if !first {
+		dst = append(dst, "\n      "...)
+	}
+	return append(dst, ']')
+}
+
+// termLiterals caches the escaped labels of the few terms one graph
+// spans, so each is built once per render rather than once per node.
+type termLiterals struct {
+	n    int
+	ords [16]int
+	lits [16]string
+}
+
+func (c *termLiterals) append(dst []byte, t term.Term) []byte {
+	ord := t.Ordinal()
+	for i := 0; i < c.n; i++ {
+		if c.ords[i] == ord {
+			return append(dst, c.lits[i]...)
+		}
+	}
+	lit := string(jsonenc.String(nil, t.Label()))
+	if c.n < len(c.ords) {
+		c.ords[c.n], c.lits[c.n] = ord, lit
+		c.n++
+	}
+	return append(dst, lit...)
+}
+
+// WriteJSON writes the front-end JSON document of the graph (see
+// AppendJSON). Nothing is written when the document cannot be rendered.
 func WriteJSON(w io.Writer, cat *catalog.Catalog, g *graph.Graph, maxNodes int) error {
-	doc, _ := ToJSON(cat, g, maxNodes)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	doc, err := AppendJSON(nil, cat, g, maxNodes)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(doc)
+	return err
 }
 
 // PathString renders one path as the semester-by-semester selections,

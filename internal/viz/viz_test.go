@@ -113,10 +113,43 @@ func TestWriteTreeSharedNodes(t *testing.T) {
 	}
 }
 
+// jsonGraph is the decoded form of the front-end JSON document.
+type jsonGraph struct {
+	Root  int `json:"root"`
+	Nodes []struct {
+		ID        int      `json:"id"`
+		Term      string   `json:"term"`
+		Completed []string `json:"completed"`
+		Options   []string `json:"options"`
+		Goal      bool     `json:"goal"`
+		Pruned    bool     `json:"pruned"`
+	} `json:"nodes"`
+	Edges []struct {
+		From      int      `json:"from"`
+		To        int      `json:"to"`
+		Selection []string `json:"selection"`
+		Cost      float64  `json:"cost"`
+	} `json:"edges"`
+}
+
+// decodeJSON renders the graph's document and decodes it.
+func decodeJSON(t *testing.T, cat *catalog.Catalog, g *graph.Graph, maxNodes int) jsonGraph {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, cat, g, maxNodes); err != nil {
+		t.Fatal(err)
+	}
+	var doc jsonGraph
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("output is not valid JSON: %v", err)
+	}
+	return doc
+}
+
 func TestToJSON(t *testing.T) {
 	cat, g := fig3(t)
-	doc, truncated := ToJSON(cat, g, 0)
-	if truncated != 0 {
+	doc := decodeJSON(t, cat, g, 0)
+	if truncated := g.NumNodes() - len(doc.Nodes); truncated != 0 {
 		t.Errorf("unexpected truncation %d", truncated)
 	}
 	if len(doc.Nodes) != g.NumNodes() || len(doc.Edges) != g.NumEdges() {
@@ -136,8 +169,8 @@ func TestToJSON(t *testing.T) {
 		t.Error("goal flag lost in JSON")
 	}
 	// Truncation drops nodes and their edges consistently.
-	doc2, truncated2 := ToJSON(cat, g, 2)
-	if truncated2 != g.NumNodes()-2 || len(doc2.Nodes) != 2 {
+	doc2 := decodeJSON(t, cat, g, 2)
+	if truncated2 := g.NumNodes() - len(doc2.Nodes); truncated2 != g.NumNodes()-2 || len(doc2.Nodes) != 2 {
 		t.Errorf("truncation: %d nodes, %d dropped", len(doc2.Nodes), truncated2)
 	}
 	for _, e := range doc2.Edges {
@@ -149,14 +182,7 @@ func TestToJSON(t *testing.T) {
 
 func TestWriteJSONRoundTrips(t *testing.T) {
 	cat, g := fig3(t)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, cat, g, 0); err != nil {
-		t.Fatal(err)
-	}
-	var doc JSONGraph
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
+	doc := decodeJSON(t, cat, g, 0)
 	if doc.Root != 0 || len(doc.Nodes) == 0 {
 		t.Errorf("decoded doc = %+v", doc)
 	}

@@ -48,6 +48,14 @@ func (g *Graph) WriteJSON(w io.Writer, maxNodes int) error {
 	return viz.WriteJSON(w, g.cat, g.g, maxNodes)
 }
 
+// AppendJSON appends the bytes WriteJSON writes to dst, and reports
+// whether maxNodes truncated the document. On error dst is returned
+// unchanged.
+func (g *Graph) AppendJSON(dst []byte, maxNodes int) (out []byte, truncated bool, err error) {
+	out, err = viz.AppendJSON(dst, g.cat, g.g, maxNodes)
+	return out, maxNodes > 0 && g.g.NumNodes() > maxNodes, err
+}
+
 // Selection is one semester of a learning path: the term and the elected
 // courses (the edge label W).
 type Selection struct {
