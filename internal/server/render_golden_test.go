@@ -134,6 +134,16 @@ func renderGoldenSteps() []renderStep {
 			add(tag+"/goal/budget/count", "main", sh.prefix+"/explore/goal", `{"query":`+q(m, `,"countOnly":true`)+`,"goal":`+goal+`,"budget":{"maxNodes":5}}`)
 			add(tag+"/stream/goal/budget", "main", sh.prefix+"/explore/goal?stream=1", `{"query":`+q(m, "")+`,"goal":`+goal+`,"budget":{"maxPaths":2}}`)
 			add(tag+"/ranked/budget", "main", sh.prefix+"/explore/ranked", `{"query":`+q(m, "")+`,"goal":`+goal+`,"ranking":"time","k":4,"budget":{"maxNodes":3}}`)
+			// Budget-stopped what-if, plain and streamed: a stop delivers
+			// no candidate, only the reason.
+			for _, b := range []struct{ name, budget string }{
+				{"nodes", `{"maxNodes":5}`},
+				{"paths", `{"maxPaths":3}`},
+			} {
+				body := `{"query":` + q(m, "") + `,"goal":` + goal + `,"budget":` + b.budget + `}`
+				add(tag+"/whatif/budget/"+b.name, "main", sh.prefix+"/explore/whatif", body)
+				add(tag+"/stream/whatif/budget/"+b.name, "main", sh.prefix+"/explore/whatif?stream=1", body)
+			}
 		}
 	}
 	// The paper's Table 1 query: the Brandeis major from an empty start,
