@@ -207,10 +207,10 @@ func BenchmarkCountTreeVsDAG(b *testing.B) {
 }
 
 // BenchmarkWhatIfDelta compares what-if analysis (per-candidate path
-// deltas for the next term) on the two substrates. The DAG variant builds
-// the interned DAG once below the candidate roots and reads every delta
-// from shared bottom-up tallies instead of re-walking a tree per
-// candidate.
+// deltas for the next term) on the two substrates. The DAG variant scores
+// every candidate with one memoised tally over distinct statuses instead
+// of re-walking a tree per candidate. The tree rows stop at d = 5: a tree
+// what-if at d = 6 runs for minutes.
 func BenchmarkWhatIfDelta(b *testing.B) {
 	substrates := []struct {
 		name string
@@ -221,6 +221,9 @@ func BenchmarkWhatIfDelta(b *testing.B) {
 	}
 	for _, d := range []int{5, 6} {
 		for _, sub := range substrates {
+			if d > 5 && sub.s == explore.SubstrateTree {
+				continue
+			}
 			b.Run(fmt.Sprintf("semesters=%d/substrate=%s", d, sub.name), func(b *testing.B) {
 				opt := benchOpt()
 				opt.Substrate = sub.s
@@ -276,12 +279,12 @@ func BenchmarkTranscriptReplay(b *testing.B) {
 // --- Ablations (DESIGN.md design choices) -------------------------------
 
 // BenchmarkAblationMergeStatuses compares plain tree counting against
-// status-interned (memoised) counting on the same query.
+// counting on the interned-status DAG on the same query.
 func BenchmarkAblationMergeStatuses(b *testing.B) {
-	for _, merge := range []bool{false, true} {
-		b.Run(fmt.Sprintf("merge=%v", merge), func(b *testing.B) {
+	for _, sub := range []explore.Substrate{explore.SubstrateTree, explore.SubstrateDAG} {
+		b.Run("substrate="+sub.String(), func(b *testing.B) {
 			opt := benchOpt()
-			opt.MergeStatuses = merge
+			opt.Substrate = sub
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := explore.DeadlineCount(benchCat, benchStart(4), brandeis.EndTerm(), opt); err != nil {
@@ -366,16 +369,16 @@ func BenchmarkAblationParallelCount(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelMergeCount combines the Workers fan-out with the
-// MergeStatuses memo: workers share the engine's sharded concurrent memo,
-// so the collapsed DAG is counted once across the pool. Path counts are
-// pinned to the serial value — the memo never trades exactness for speed.
+// BenchmarkAblationParallelMergeCount combines the Workers fan-out with
+// the interned-status DAG: workers expand each level together, interning
+// into shared lock-striped levels, so every distinct status is counted
+// once across the pool. Path counts are pinned to the serial value.
 func BenchmarkAblationParallelMergeCount(b *testing.B) {
 	for _, workers := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opt := benchOpt()
 			opt.Workers = workers
-			opt.MergeStatuses = true
+			opt.Substrate = explore.SubstrateDAG
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := explore.DeadlineCount(benchCat, benchStart(5), brandeis.EndTerm(), opt)

@@ -229,7 +229,7 @@ func addStudentFlags(fs *flag.FlagSet) studentFlags {
 		end:       fs.String("end", "", "end semester d, e.g. \"Fall 2015\""),
 		m:         fs.Int("m", 3, "max courses per semester (0 = unlimited)"),
 		substrate: fs.String("substrate", "auto", "search substrate: auto (counts use the status DAG), tree, dag"),
-		workers:   fs.Int("workers", 0, "parallelise counting across this many goroutines (0/1 = serial)"),
+		workers:   fs.Int("workers", 0, "parallelise counting across this many goroutines (0/1 = serial; what-if and top-k stay serial)"),
 	}
 }
 

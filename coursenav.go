@@ -404,6 +404,7 @@ type Query struct {
 	MaxPathCost float64
 	// Workers, when >1, parallelises counting queries (DeadlineCount,
 	// GoalPathsCount) across that many goroutines; tallies are exact.
+	// What-if (CompareSelections, WhatIfStream) and TopK stay serial.
 	Workers int
 	// Substrate selects the search structure: "" or "auto" lets each
 	// entry point choose (counting and what-if queries run on the

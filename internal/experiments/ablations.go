@@ -71,9 +71,9 @@ func RunAblations(env *Env, rounds int) ([]AblationRow, error) {
 	}
 
 	base := env.opt()
-	merged := base
-	merged.MergeStatuses = true
-	if err := add("status interning (deadline d=4)", "off", "on", base, merged, 4, false); err != nil {
+	dag := base
+	dag.Substrate = explore.SubstrateDAG
+	if err := add("status interning (deadline d=4)", "tree walk", "status DAG", base, dag, 4, false); err != nil {
 		return nil, err
 	}
 	filtered := base

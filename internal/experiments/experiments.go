@@ -159,7 +159,7 @@ type Table2Row struct {
 	GoalPaths       int64 // generated paths (the paper's "# of paths")
 	GoalGoalPaths   int64 // the subset ending at the goal
 	GoalRuntime     time.Duration
-	GoalMemoised    bool // counted via status interning (see DESIGN.md §5)
+	GoalMemoised    bool // counted on the status DAG (see DESIGN.md §5)
 }
 
 // Table2Config tunes the scalability run.
@@ -171,12 +171,12 @@ type Table2Config struct {
 	// the row reports N/A. 0 uses 4,000,000 (~1 GiB of nodes).
 	DeadlineNodeBudget int
 	// Full counts the long goal-driven rows by full tree enumeration like
-	// the paper (minutes); otherwise rows with d ≥ MemoiseFrom use
-	// memoised counting, which yields identical path counts but is not
-	// runtime-comparable.
+	// the paper (minutes); otherwise rows with d ≥ MemoiseFrom are counted
+	// on the interned-status DAG, which yields identical path counts but
+	// is not runtime-comparable.
 	Full bool
 	// MemoiseFrom is the semester count at which non-Full runs switch to
-	// memoised counting. 0 means 6.
+	// counting on the status DAG. 0 means 6.
 	MemoiseFrom int
 }
 
@@ -204,11 +204,11 @@ func RunTable2(env *Env, cfg Table2Config) ([]Table2Row, error) {
 		default:
 			return nil, fmt.Errorf("table2 deadline d=%d: %v", d, err)
 		}
-		// Goal-driven: counting mode, memoised for the explosive rows
-		// unless a Full (paper-style) enumeration was requested.
+		// Goal-driven: counting mode, on the status DAG for the explosive
+		// rows unless a Full (paper-style) enumeration was requested.
 		gopt := env.opt()
 		if !cfg.Full && d >= cfg.MemoiseFrom {
-			gopt.MergeStatuses = true
+			gopt.Substrate = explore.SubstrateDAG
 			row.GoalMemoised = true
 		}
 		gres, err := explore.GoalCount(env.Cat, env.start(d), brandeis.EndTerm(), env.Major, env.pruners(), gopt)
@@ -243,7 +243,7 @@ func PrintTable2(w io.Writer, rows []Table2Row) {
 	}
 	for _, r := range rows {
 		if r.GoalMemoised {
-			fmt.Fprintln(w, "  * counted with status interning (identical path counts; runtime not comparable to full enumeration — rerun with -full)")
+			fmt.Fprintln(w, "  * counted on the interned-status DAG (identical path counts; runtime not comparable to full enumeration — rerun with -full)")
 			break
 		}
 	}

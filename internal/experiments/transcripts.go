@@ -20,7 +20,7 @@ type TranscriptResult struct {
 	// paths — membership in the exhaustive goal-driven path set.
 	Contained int
 	// GeneratedPaths is the goal-driven path count for the same period
-	// (paper: 41,556,657), counted with status interning.
+	// (paper: 41,556,657), counted on the interned-status DAG.
 	GeneratedPaths int64
 	// GoalPaths is the subset of GeneratedPaths ending at the goal.
 	GoalPaths int64
@@ -29,7 +29,7 @@ type TranscriptResult struct {
 }
 
 // RunTranscripts runs the comparison with n synthesised transcripts over
-// the paper's 6-semester period. countPaths skips the (≈minute-long)
+// the paper's 6-semester period. countPaths skips the (seconds-long)
 // generated-path count when false.
 func RunTranscripts(env *Env, n int, seed int64, countPaths bool) (TranscriptResult, error) {
 	began := time.Now()
@@ -52,7 +52,7 @@ func RunTranscripts(env *Env, n int, seed int64, countPaths bool) (TranscriptRes
 	}
 	if countPaths {
 		opt := env.opt()
-		opt.MergeStatuses = true
+		opt.Substrate = explore.SubstrateDAG
 		gres, err := explore.GoalCount(env.Cat, env.start(d), end, env.Major, env.pruners(), opt)
 		if err != nil {
 			return res, err

@@ -2,6 +2,8 @@ package explore
 
 import (
 	"context"
+	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -179,12 +181,11 @@ func TestBudgetsDisabledEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: ctx variant diverged: legacy %+v vs ctx %+v", seed, legacy, ctxed)
 		}
 
-		// Memoised + parallel under a cancellable-but-never-cancelled
-		// context still agree exactly (the control must not perturb
-		// counting).
+		// The parallel DAG under a cancellable-but-never-cancelled context
+		// still agrees exactly (the control must not perturb counting).
 		ctx, cancel := context.WithCancel(context.Background())
 		mopt := rc.opt
-		mopt.MergeStatuses = true
+		mopt.Substrate = SubstrateDAG
 		mopt.Workers = 4
 		par, err := GoalCountCtx(ctx, rc.cat, rc.startStatus(), rc.end, rc.req, pruners, mopt)
 		cancel()
@@ -192,33 +193,42 @@ func TestBudgetsDisabledEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if par.Paths != legacy.Paths || par.GoalPaths != legacy.GoalPaths {
-			t.Fatalf("seed %d: parallel memoised ctx run diverged: %+v vs %+v", seed, par, legacy)
+			t.Fatalf("seed %d: parallel DAG ctx run diverged: %+v vs %+v", seed, par, legacy)
 		}
 	}
 }
 
-// TestMidRunCancelDoesNotPoisonMemo: cancelling a memoised counting run
-// mid-flight and then re-running to completion on a fresh engine must
-// produce the exact full tallies — and the partially-cancelled run's own
-// tallies must never exceed them.
+// TestMidRunCancelDoesNotPoisonMemo: a SharedCounter build stopped
+// mid-flight by its run control (a what-if budget) interns only complete
+// subtrees, so the same counter, queried again without the control,
+// answers the exact full tallies.
 func TestMidRunCancelDoesNotPoisonMemo(t *testing.T) {
 	rc := cancelCase(t)
-	opt := rc.opt
-	opt.MergeStatuses = true
-	full, err := DeadlineCount(rc.cat, rc.startStatus(), rc.end, opt)
+	pruners := PaperPruners(rc.cat, rc.req, rc.opt.MaxPerTerm)
+	want, err := GoalCountMulti(rc.cat, rc.startStatus(), rc.end, 0, rc.req, pruners, rc.opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bopt := opt
-	bopt.Budget = Budget{MaxNodes: full.Nodes / 2}
-	partial, err := DeadlineCountCtx(context.Background(), rc.cat, rc.startStatus(), rc.end, bopt)
+	sc, err := NewSharedCounter(rc.cat, rc.end, 0, rc.req, pruners, rc.opt, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if partial.Stopped != StopMaxNodes {
-		t.Fatalf("Stopped=%q, want %q", partial.Stopped, StopMaxNodes)
+	sc.e.ctl = newControl(context.Background(), Budget{MaxNodes: want.Nodes / 2})
+	if _, err := sc.Counts(context.Background(), rc.startStatus()); !errors.Is(err, errStopRun) {
+		t.Fatalf("budgeted build: err = %v, want errStopRun", err)
 	}
-	if partial.Paths > full.Paths || partial.GoalPaths > full.GoalPaths {
-		t.Errorf("partial tallies exceed full run: %+v vs %+v", partial, full)
+	if got := sc.e.ctl.reason(); got != StopMaxNodes {
+		t.Fatalf("Stopped=%q, want %q", got, StopMaxNodes)
+	}
+	if sc.Stats().Statuses == 0 {
+		t.Fatal("the stopped build interned nothing; the re-query would not read the memo")
+	}
+	sc.e.ctl = nil
+	got, err := sc.Counts(context.Background(), rc.startStatus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Paths != want.Paths || got.GoalPaths[0] != want.GoalPathsAt[0] {
+		t.Errorf("after a stopped build: %d/%d, want %d/%d", got.Paths, got.GoalPaths[0], want.Paths, want.GoalPathsAt[0])
 	}
 }

@@ -190,9 +190,8 @@ func (c *control) reason() string {
 }
 
 // interrupted reports whether a stop reason has been recorded, without
-// re-checking clocks. Engines use it to guard memo writes: a tally
-// computed after (or across) a stop may be partial and must not be
-// memoised.
+// re-checking clocks. Engines check it between selections, where a full
+// halted() per edge would cost too much.
 func (c *control) interrupted() bool {
 	return c != nil && c.stopped.Load() != stopNone
 }

@@ -23,26 +23,13 @@ import (
 // bit-identical to the tree walk's, at a cost of |distinct statuses|
 // instead of |paths|.
 //
-// Counting runs (no sink, no what-if) build the DAG level by level in
-// flat records and propagate path prefixes forward (dag_count.go). The
-// node-graph builder in this file serves the two modes that need nodes
-// beyond their own level. Both expand breadth-first by level.
-//
-//   - dagTally (what-if): forward prefixes cannot attribute shared
-//     terminals to individual candidate roots, so this mode folds terminal
-//     children at the edge without interning them (skipping their table
-//     probe and option-set derivation roughly halves the build) and then
-//     fills per-node {paths, goal paths} tallies BOTTOM-UP by
-//     re-enumerating each non-terminal node's selections in descending
-//     level order (retally). Enumeration is deterministic, so the second
-//     pass sees exactly the build's edges at the cost of a second sweep
-//     instead of an edge list — far cheaper than materialising tens of
-//     millions of edges and terminals.
-//
-//   - dagStream: every status is interned and edges are recorded in
-//     selection-enumeration order, because the lazy unfold needs the
-//     edges themselves (and the terminal statuses for its path events);
-//     the unfold counts the paths it emits.
+// Counting runs build the DAG level by level in flat records and
+// propagate path prefixes forward (dag_count.go); what-if and other
+// many-root counts memoise a tally per status (dag_shared.go). The
+// node-graph builder in this file serves the stream unfold, which needs
+// the edges themselves (and the terminal statuses for its path events):
+// every status is interned, edges are recorded in selection-enumeration
+// order, and the unfold counts the paths it emits.
 
 // ErrSubstrateDAGMaterialize rejects a materialising run on the DAG
 // substrate: a materialised learning graph is the tree (per-path node
@@ -52,13 +39,10 @@ var ErrSubstrateDAGMaterialize = errors.New("explore: the DAG substrate cannot m
 
 // dagNode is one interned (semester, completed) status. A node is created
 // exactly once — by whichever expansion first reaches the status — and
-// classified at creation; edge-mode expansion fills its edge list once.
+// classified at creation; expansion fills its edge list once.
 type dagNode struct {
-	// tally is the what-if DP value {paths, goal paths} (retally).
-	tally [2]int64
 	st    status.Status
-	edges []dagEdge // edge mode only
-	depth int32     // level; edges go depth d → d+1, so levels are a topological order
+	edges []dagEdge
 	// minTake is the time-based strategy's minimum selection size.
 	minTake int32
 	class   nodeClass
@@ -67,7 +51,7 @@ type dagNode struct {
 	deadEnd bool
 	// cut marks a placeholder interned after the node budget was exhausted:
 	// the status was never generated (not classified, not counted) and
-	// contributes {0,0}, keeping stopped-run totals valid lower bounds.
+	// ends no path, keeping stopped-run totals valid lower bounds.
 	cut bool
 }
 
@@ -78,107 +62,47 @@ type dagEdge struct {
 	to  *dagNode
 }
 
-// dagMode selects the builder's storage/DP strategy; see the file comment.
-type dagMode uint8
-
-const (
-	dagTally  dagMode = iota // folded build + bottom-up re-enumeration tallies (what-if)
-	dagStream                // full interning + recorded edges for the lazy unfold
-)
-
-// dagBuilder constructs the DAG using the engine's classify/selections/
-// arena machinery. The same struct serves as the serial builder and as a
-// parallel worker's private context (dag_parallel.go): a worker carries
-// its own engine, slab and scratch sets, and swaps the private intern
-// table for the shared lock-striped one.
+// dagBuilder constructs the DAG for a streaming run using the engine's
+// classify/selections/arena machinery.
 type dagBuilder struct {
-	e      *engine
-	tab    internTable      // private interner (serial build)
-	shared *dagInternShards // concurrent interner (parallel workers); nil when serial
-	mode   dagMode
+	e   *engine
+	tab internTable
 
 	slab  nodeSlab
 	level []*dagNode // current BFS level being expanded
 	next  []*dagNode // expandable nodes discovered for the next level
 
-	// byDepth buckets every generated node by level for retally's
-	// bottom-up sweep (what-if only).
-	byDepth [][]*dagNode
-
 	// uscr is the completed-union scratch: child keys are probed from it,
 	// so an intern hit computes the union without retaining arena memory.
-	// wscr is the reused selection set handed to engine.selections in
-	// what-if mode (see engine.selScratch).
-	uscr, wscr bitset.Set
+	uscr bitset.Set
 }
 
-func newDAGBuilder(e *engine, mode dagMode) *dagBuilder {
-	b := &dagBuilder{e: e, mode: mode}
-	if mode == dagTally {
-		// What-if consumes each selection before asking for the next and
-		// retains nothing, so one reused scratch set serves them all.
-		e.selScratch = &b.wscr
-	}
-	return b
-}
-
-// add interns a fully-formed status (a root), creating its node if new.
-func (b *dagBuilder) add(st status.Status, depth int32) *dagNode {
-	key := st.MapKey()
-	h := dagHash(key)
-	if n := b.tab.lookup(h, key); n != nil {
-		return n
-	}
+// root generates and classifies the start status. No child can equal it
+// (every edge advances the semester), so it is never interned.
+func (b *dagBuilder) root(st status.Status) *dagNode {
 	e := b.e
 	n := b.slab.alloc()
-	n.depth = depth
 	if e.ctl != nil && (e.ctl.halted() != stopNone || e.ctl.noteNode()) {
 		n.cut = true
-		b.tab.insert(h, key, n)
 		return n
 	}
 	n.st = st
 	cls, mt := e.classify(st)
 	n.class, n.minTake = cls, int32(mt)
 	e.res.Nodes++
-	b.tab.insert(h, key, n)
 	b.created(n)
 	return n
 }
 
-// created runs a fresh non-cut node's one-time duties: the terminal path
-// charge, queueing for the next level, and (what-if) the DP bucket.
+// created queues a fresh expandable node for the next level.
 func (b *dagBuilder) created(n *dagNode) {
-	switch n.class {
-	case classGoal, classDeadline:
-		if b.e.sink == nil {
-			b.e.notePaths(1)
-		}
-	case classExpand:
+	if n.class == classExpand {
 		b.next = append(b.next, n)
-	}
-	if b.mode == dagTally {
-		for int(n.depth) >= len(b.byDepth) {
-			b.byDepth = append(b.byDepth, nil)
-		}
-		b.byDepth[n.depth] = append(b.byDepth[n.depth], n)
 	}
 }
 
-// intern resolves the child key against whichever interner this builder
-// uses, creating the node via create on a miss. The parallel path runs
-// create under the shard lock, so each distinct status has exactly one
-// creator across the pool.
+// intern resolves the child key, creating the node via create on a miss.
 func (b *dagBuilder) intern(h uint64, key status.MapKey, parent *dagNode, sel bitset.Set, next term.Term, terminal bool) *dagNode {
-	if b.shared != nil {
-		n, created := b.shared.getOrPut(h, key, func() *dagNode {
-			return b.create(parent, sel, next, terminal)
-		})
-		if created && !n.cut {
-			b.created(n)
-		}
-		return n
-	}
 	if n := b.tab.lookup(h, key); n != nil {
 		return n
 	}
@@ -193,16 +117,13 @@ func (b *dagBuilder) intern(h uint64, key status.MapKey, parent *dagNode, sel bi
 // create generates and classifies the status reached from parent by
 // electing sel, charging the run control exactly as the tree walk does:
 // one noteNode per distinct interned status. Over budget, a cut
-// placeholder is interned so lookups stay consistent and the DP sees
-// {0,0}. When the caller already knows the child is a terminal (stream
-// mode interns terminals too; what-if never calls this for them), the
-// goal/deadline split is recomputed from the completed set; otherwise only
-// the pruning stage runs — the expensive option-set derivation is shared
-// by both.
+// placeholder is interned so lookups stay consistent. When the caller
+// already knows the child is a terminal, the goal/deadline split is
+// recomputed from the completed set; otherwise only the pruning stage
+// runs — the expensive option-set derivation is shared by both.
 func (b *dagBuilder) create(parent *dagNode, sel bitset.Set, next term.Term, terminal bool) *dagNode {
 	e := b.e
 	n := b.slab.alloc()
-	n.depth = parent.depth + 1
 	if e.ctl != nil && (e.ctl.halted() != stopNone || e.ctl.noteNode()) {
 		n.cut = true
 		return n
@@ -224,11 +145,9 @@ func (b *dagBuilder) create(parent *dagNode, sel bitset.Set, next term.Term, ter
 	return n
 }
 
-// expand enumerates a node's selections once. What-if mode folds terminal
-// children into the run's edge and path charges without interning them;
-// stream mode interns every child and records the edge. A budget stop
-// mid-enumeration leaves the node partially expanded — the DP then sums a
-// valid lower bound — and suppresses the natural-dead-end classification
+// expand enumerates a node's selections once, interning every child and
+// recording the edge. A budget stop mid-enumeration leaves the node
+// partially expanded and suppresses the natural-dead-end classification
 // (unexpanded ≠ childless).
 func (b *dagBuilder) expand(n *dagNode) {
 	e := b.e
@@ -238,19 +157,6 @@ func (b *dagBuilder) expand(n *dagNode) {
 	next := n.st.Term.Next()
 	ord := int32(next.Ordinal())
 	lastLevel := !next.Before(e.end)
-	if lastLevel && b.mode == dagTally {
-		// The deadline semester in closed form (fold.go): every selection
-		// is an edge and a terminal path; the run control is consulted
-		// once for the node, where the enumeration consulted it per
-		// selection. retally reads the same counts back.
-		if sel, _, ok := e.lastLevelCounts(n.st, int(n.minTake)); ok {
-			if !e.ctl.interrupted() {
-				e.res.Edges = satAdd(e.res.Edges, sel)
-				e.notePaths(sel)
-			}
-			return
-		}
-	}
 	childless, stopped := true, false
 	_ = e.selections(n.st, int(n.minTake), func(sel bitset.Set) error {
 		if e.ctl.interrupted() {
@@ -261,99 +167,21 @@ func (b *dagBuilder) expand(n *dagNode) {
 		e.res.Edges++
 		b.uscr.CopyFrom(n.st.Completed)
 		b.uscr.UnionInPlace(sel)
-		if b.mode == dagStream {
-			key := status.MapKey{Ord: ord, Set: b.uscr.CompactKey()}
-			c := b.intern(dagHash(key), key, n, sel, next, lastLevel || (e.goal != nil && e.goal.Satisfied(b.uscr)))
-			n.edges = append(n.edges, dagEdge{sel: sel, to: c})
-			return nil
-		}
-		// What-if: fold terminal edges without interning the child.
-		if lastLevel || (e.goal != nil && e.goal.Satisfied(b.uscr)) {
-			e.notePaths(1)
-			return nil
-		}
 		key := status.MapKey{Ord: ord, Set: b.uscr.CompactKey()}
-		b.intern(dagHash(key), key, n, sel, next, false)
+		c := b.intern(dagHash(key), key, n, sel, next, lastLevel || (e.goal != nil && e.goal.Satisfied(b.uscr)))
+		n.edges = append(n.edges, dagEdge{sel: sel, to: c})
 		return nil
 	})
-	if n.deadEnd = childless && !stopped; n.deadEnd && e.sink == nil {
-		e.notePaths(1)
-	}
+	n.deadEnd = childless && !stopped
 }
 
 // build drains the levels breadth-first: children always land exactly one
-// level down, so levels are a topological order for the bottom-up sweeps.
+// level down.
 func (b *dagBuilder) build() {
 	for len(b.next) > 0 {
 		b.level, b.next = b.next, b.level[:0]
 		for _, n := range b.level {
 			b.expand(n)
-		}
-	}
-}
-
-// retally fills the bottom-up {paths, goal paths} tallies for a dagTally
-// build by re-enumerating each expandable node's selections — enumeration
-// is deterministic, so this second pass sees exactly the edges the build
-// saw, without an edge list ever having been stored. Terminal edges score
-// inline exactly as the build folded them; non-terminal children are
-// looked up in the interner (always a hit: the build interned every one).
-// Levels sweep in descending depth, so children are final before parents.
-// Nothing is charged against the run control — the build already paid for
-// every node and path — so retally must only run on unstopped builds.
-func (b *dagBuilder) retally() {
-	e := b.e
-	for d := len(b.byDepth) - 1; d >= 0; d-- {
-		for _, n := range b.byDepth[d] {
-			switch {
-			case n.class == classGoal:
-				n.tally = [2]int64{1, 1}
-				continue
-			case n.class == classDeadline:
-				n.tally = [2]int64{1, 0}
-				continue
-			case n.class == classPruned:
-				continue
-			case n.deadEnd:
-				n.tally = [2]int64{1, 0}
-				continue
-			}
-			next := n.st.Term.Next()
-			ord := int32(next.Ordinal())
-			lastLevel := !next.Before(e.end)
-			if lastLevel {
-				if sel, goalSel, ok := e.lastLevelCounts(n.st, int(n.minTake)); ok {
-					n.tally = [2]int64{sel, goalSel}
-					continue
-				}
-			}
-			var t [2]int64
-			_ = e.selections(n.st, int(n.minTake), func(sel bitset.Set) error {
-				b.uscr.CopyFrom(n.st.Completed)
-				b.uscr.UnionInPlace(sel)
-				if e.goal != nil && e.goal.Satisfied(b.uscr) {
-					t[0]++
-					t[1]++
-					return nil
-				}
-				if lastLevel {
-					t[0]++
-					return nil
-				}
-				key := status.MapKey{Ord: ord, Set: b.uscr.CompactKey()}
-				var c *dagNode
-				if b.shared != nil {
-					c = b.shared.lookup(dagHash(key), key)
-				} else {
-					c = b.tab.lookup(dagHash(key), key)
-				}
-				if c != nil {
-					t[0] += c.tally[0]
-					t[1] += c.tally[1]
-				}
-				return nil
-			})
-			n.tally = t
 		}
 	}
 }
@@ -459,8 +287,8 @@ func runDAG(ctx context.Context, cat *catalog.Catalog, start status.Status, end 
 		e.ctl = &control{done: ctx.Done(), ctx: ctx}
 	}
 	e.sink = sink
-	b := newDAGBuilder(e, dagStream)
-	root := b.add(start, 0)
+	b := &dagBuilder{e: e}
+	root := b.root(start)
 	b.build()
 	e.res.DAG = true
 

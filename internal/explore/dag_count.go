@@ -40,6 +40,14 @@ import (
 // countSlotsMin is a stripe's first slot-table size; growth doubles it.
 const countSlotsMin = 1 << 6
 
+// memoShards is a parallel build's stripe count per level. 64 stripes
+// keep lock contention negligible at any realistic worker count while
+// each stripe's table stays dense.
+const (
+	memoShardBits = 6
+	memoShards    = 1 << memoShardBits
+)
+
 // countStripe is one lock stripe of a level: its statuses as fixed-size
 // records in one flat slice, plus their open-addressed index. A record is
 // the status's prefix count, then its class and minTake, then its
@@ -294,7 +302,6 @@ func (b *countBuilder) buildParallel(workers int) {
 	ws := make([]*countBuilder, workers)
 	for i := range ws {
 		sub := newEngine(e.cat, e.end, degree.Unwrap(e.rawGoal), e.rawPruners, e.opt)
-		sub.memo = nil
 		sub.ctl = e.ctl // one control spans the whole pool
 		ws[i] = newCountBuilder(sub, b.cur.stripes[0].stride, b.multi)
 		ws[i].par = true

@@ -13,15 +13,15 @@ import (
 	"repro/internal/term"
 )
 
-// This file implements the cross-request DAG substrate (DESIGN.md §17):
-// a long-lived interner + tally memo keyed by (catalog, goal, deadline,
-// options) that answers goal-path counts for MANY start statuses. A
+// This file implements the many-roots DAG substrate (DESIGN.md §17):
+// an interner + tally memo keyed by (catalog, goal, deadline, options)
+// that answers goal-path counts for MANY start statuses. A
 // cohort run replans thousands of members against one catalog variant;
 // their reachable statuses overlap massively (curricula are shallow and
 // wide), so the cost of the whole cohort scales with the number of
 // DISTINCT statuses across all members, not with members × rebuilds.
 //
-// Differences from the one-shot builder (dag.go):
+// Differences from the one-root counting core (dag_count.go):
 //
 //   - Tallies are stored per status, not per run: sharedNode carries a
 //     (horizon+2)-wide vector — total maximal paths, plus goal paths for
@@ -29,16 +29,25 @@ import (
 //     depth-first DP. The one forward-prefix trick does not apply (each
 //     member roots the DP somewhere else), but each distinct status is
 //     still expanded at most once for the life of the counter.
-//   - Storage is the same generic slab/table machinery (dag_intern.go)
-//     with sharedNode payloads, plus a vector slab so a million nodes
-//     cost thousands of allocations.
+//   - Storage is the generic slab/table machinery (dag_intern.go) with
+//     sharedNode payloads, plus a vector slab so a million nodes cost
+//     thousands of allocations.
 //   - The counter is safe for concurrent use: lookups of already-built
 //     roots take a read lock; building takes the write lock, so one
 //     member's miss never blocks another member's hit.
 //   - Memory is bounded by MaxStatuses: a build that would exceed the
-//     hard cap (2x) aborts and evicts; a build that lands between the
-//     budget and the cap completes, answers, and then evicts — the next
-//     call starts cold, which trades latency for the bound.
+//     hard cap (2x, saturating, so a budget of MaxInt64 means no cap)
+//     aborts and evicts; a build that lands between the budget and the
+//     cap completes, answers, and then evicts — the next call starts
+//     cold, which trades latency for the bound.
+//   - Tallies saturate at MaxInt64, as every counting run's do.
+//
+// The counter also scores what-if candidates (whatif.go): one uncapped
+// counter per request, horizon 0, its engine carrying the request's run
+// control. A build then charges that control as a counting run does —
+// one node per created status, one path per terminal fold, a stop check
+// between selections — and a stop aborts the build. Cohort counters
+// carry no control; their builds check the context periodically.
 
 // defaultSharedStatuses bounds a SharedCounter's interned statuses when
 // the caller passes no budget. At ~200 bytes per interned status
@@ -243,7 +252,7 @@ func (c *SharedCounter) Counts(ctx context.Context, start status.Status) (Shared
 	c.stats.NewStatuses += c.newN
 	c.stats.ReusedStatuses += c.reusedN
 	if err != nil {
-		if int64(c.tab.n) >= 2*c.maxStatuses {
+		if int64(c.tab.n) >= c.hardCap() {
 			c.stats.Evictions++
 			c.reset()
 		}
@@ -269,6 +278,10 @@ func (c *SharedCounter) answer(vec []int64, hit bool) SharedCounts {
 // errSharedBudget aborts a build that would exceed the hard status cap.
 var errSharedBudget = fmt.Errorf("explore: shared counter over status budget")
 
+// hardCap is the interned-status count at which a build aborts: twice the
+// budget, saturating.
+func (c *SharedCounter) hardCap() int64 { return satMul(2, c.maxStatuses) }
+
 // scratch ensures the per-depth scratch sets exist through depth d.
 func (c *SharedCounter) scratch(d int) {
 	for len(c.wscr) <= d {
@@ -286,11 +299,14 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if int64(c.tab.n) >= 2*c.maxStatuses {
+		if int64(c.tab.n) >= c.hardCap() {
 			return nil, errSharedBudget
 		}
 	}
 	e := c.e
+	if e.ctl != nil && (e.ctl.halted() != stopNone || e.ctl.noteNode()) {
+		return nil, errStopRun
+	}
 	stride := c.horizon + 2
 	vec := c.vecs.alloc(stride)
 	endOrd := c.end.Ordinal()
@@ -298,11 +314,13 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 	cls, minTake := e.classify(st)
 	switch cls {
 	case classGoal:
+		e.notePaths(1)
 		vec[0] = 1
 		for hz := clampHz(st.Term.Ordinal()-endOrd, c.horizon); hz <= c.horizon; hz++ {
 			vec[1+hz] = 1
 		}
 	case classDeadline:
+		e.notePaths(1)
 		vec[0] = 1
 	case classPruned:
 		// zeros
@@ -315,6 +333,10 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 		if lastLevel {
 			if sel, goalSel, ok := e.lastLevelCounts(st, minTake); ok {
 				// The deadline semester in closed form, as counting folds it.
+				if e.ctl.interrupted() {
+					return nil, errStopRun
+				}
+				e.notePaths(sel)
 				vec[0] = sel
 				for hz := goalFrom; hz <= c.horizon; hz++ {
 					vec[1+hz] = goalSel
@@ -325,6 +347,9 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 		childless := true
 		e.selScratch = c.wscr[depth]
 		err := e.selections(st, minTake, func(sel bitset.Set) error {
+			if e.ctl.interrupted() {
+				return errStopRun
+			}
 			childless = false
 			u := c.uscr[depth]
 			u.CopyFrom(st.Completed)
@@ -333,14 +358,16 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 			// their whole contribution is known here, so they are never
 			// interned.
 			if e.goal.Satisfied(*u) {
-				vec[0]++
+				e.notePaths(1)
+				vec[0] = satAdd(vec[0], 1)
 				for hz := goalFrom; hz <= c.horizon; hz++ {
-					vec[1+hz]++
+					vec[1+hz] = satAdd(vec[1+hz], 1)
 				}
 				return nil
 			}
 			if lastLevel {
-				vec[0]++
+				e.notePaths(1)
+				vec[0] = satAdd(vec[0], 1)
 				return nil
 			}
 			ck := status.MapKey{Ord: ord, Set: u.CompactKey()}
@@ -368,6 +395,7 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 		if childless {
 			// Natural dead end: a generated maximal path that reaches no
 			// goal under any deadline.
+			e.notePaths(1)
 			vec[0] = 1
 		}
 	}
@@ -381,7 +409,7 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 
 func addVec(dst, src []int64) {
 	for i, v := range src {
-		dst[i] += v
+		dst[i] = satAdd(dst[i], v)
 	}
 }
 

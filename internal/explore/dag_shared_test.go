@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -284,5 +285,66 @@ func TestSharedCounterConcurrent(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSharedCounterHugeBudgetIsUncapped: the hard cap is twice the status
+// budget, saturating, so a budget past MaxInt64/2 means no cap rather
+// than a negative one that aborts every build.
+func TestSharedCounterHugeBudgetIsUncapped(t *testing.T) {
+	cat := brandeis.Catalog()
+	goal, err := brandeis.Major(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{MaxPerTerm: 2}
+	pruners := PaperPruners(cat, goal, opt.MaxPerTerm)
+	start := emptyStart(cat, f12)
+	end := brandeis.EndTerm()
+	want, err := GoalCountMulti(cat, start, end, 0, goal, pruners, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, math.MaxInt64 / 2, math.MaxInt64/2 + 1, math.MaxInt64} {
+		sc, err := NewSharedCounter(cat, end, 0, goal, pruners, opt, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sc.Counts(context.Background(), start)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if got.Paths != want.Paths || got.GoalPaths[0] != want.GoalPathsAt[0] {
+			t.Errorf("budget %d: %d/%d paths, want %d/%d", budget, got.Paths, got.GoalPaths[0], want.Paths, want.GoalPathsAt[0])
+		}
+		if st := sc.Stats(); st.Evictions != 0 || st.Statuses == 0 {
+			t.Errorf("budget %d: stats %+v, want statuses kept and no eviction", budget, st)
+		}
+	}
+}
+
+// TestSharedCounterSaturates: a tally past MaxInt64 reads MaxInt64, as
+// the counting core's does, instead of wrapping negative.
+func TestSharedCounterSaturates(t *testing.T) {
+	cat := wideCatalog(t)
+	start := emptyStart(cat, f11)
+	goal := mustGoalSet(t, cat, "XX 100", "XX 101")
+	want, err := GoalCountMulti(cat, start, s13, 0, goal, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Paths != math.MaxInt64 {
+		t.Fatalf("GoalCountMulti paths = %d, want the saturated MaxInt64", want.Paths)
+	}
+	sc, err := NewSharedCounter(cat, s13, 0, goal, nil, Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sc.Counts(context.Background(), start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Paths != want.Paths || got.GoalPaths[0] != want.GoalPathsAt[0] {
+		t.Errorf("Counts = %d/%d, GoalCountMulti = %d/%d", got.Paths, got.GoalPaths[0], want.Paths, want.GoalPathsAt[0])
 	}
 }

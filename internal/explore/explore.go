@@ -104,9 +104,10 @@ type Options struct {
 	// paper-faithful EmptyWhenStuck.
 	Empty EmptyPolicy
 	// MergeStatuses interns nodes with identical (semester, completed)
-	// pairs, turning the materialised tree into a DAG and memoising counts.
-	// This is the ablation of DESIGN.md §2; the paper's algorithm runs with
-	// it off.
+	// pairs, turning the materialised tree into a DAG. This is the
+	// ablation of DESIGN.md §2; the paper's algorithm runs with it off.
+	// Only materialising runs read it: counting and streaming runs walk
+	// the tree (or run on SubstrateDAG, which merges statuses anyway).
 	MergeStatuses bool
 	// MaxNodes aborts materialisation with ErrGraphTooLarge once the graph
 	// reaches this many nodes, emulating the paper's out-of-memory rows in
@@ -117,11 +118,10 @@ type Options struct {
 	// Constraint. A rejected selection appears on no generated path.
 	Constraints []Constraint
 	// Workers, when >1, fans counting-mode runs out across that many
-	// goroutines drawing subtrees from a shared work pool (starved workers
-	// re-split skewed subtrees). Tallies are exact; with MergeStatuses the
-	// workers share a sharded concurrent memo, and Nodes/Edges then count
-	// memo misses, which can vary slightly between runs (path counts never
-	// do). Ignored by materialising runs and the ranked algorithm, which
+	// goroutines: the tree walk draws subtrees from a shared work pool
+	// (starved workers re-split skewed subtrees), the DAG expands each
+	// level across the pool. Tallies are exact. Ignored by materialising
+	// runs, the ranked algorithm and what-if (CompareSelections), which
 	// stay serial; Result.Parallel reports whether a run actually fanned
 	// out. Negative values are rejected by validation.
 	Workers int
@@ -220,9 +220,7 @@ type engine struct {
 	// check). Parallel workers share the parent's control.
 	ctl *control
 
-	intern map[status.MapKey]int64    // materialising with MergeStatuses
-	memo   map[status.MapKey][2]int64 // serial counting with MergeStatuses
-	shared *sharedMemo                // parallel counting with MergeStatuses
+	intern map[status.MapKey]int64 // materialising with MergeStatuses
 	res    Result
 
 	// sink receives the run's event stream; nil when nobody listens (the
@@ -249,10 +247,11 @@ type engine struct {
 	arena bitset.Arena
 	// selScratch, when set, makes selections hand out this one reused set
 	// instead of a fresh arena allocation per selection. The DAG's counting
-	// and what-if builders and the sinkless ranked search enable it: they
-	// consume each selection before asking for the next and retain nothing
-	// (the ranked search copies it into its frontier store), so the
-	// per-edge arena allocation (never recycled) would be pure waste.
+	// builder, the shared counter and the sinkless ranked search enable
+	// it: they consume each selection before asking for the next and
+	// retain nothing (the ranked search copies it into its frontier
+	// store), so the per-edge arena allocation (never recycled) would be
+	// pure waste.
 	selScratch *bitset.Set
 	// scratches and kidsFree are free lists for the walk's recursion-local
 	// buffers (combination enumeration state, expandMaterialized's child
@@ -283,10 +282,6 @@ func newEngine(cat *catalog.Catalog, end term.Term, goal degree.Goal, pruners []
 		for i, p := range pruners {
 			e.pruners[i] = e.wrapPruner(p)
 		}
-	}
-	if opt.MergeStatuses {
-		e.intern = map[status.MapKey]int64{}
-		e.memo = map[status.MapKey][2]int64{}
 	}
 	return e
 }

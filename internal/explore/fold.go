@@ -9,8 +9,8 @@ import (
 )
 
 // This file holds the closed-form fold of the deadline semester shared by
-// the DAG's counting core, its what-if build and the shared counter
-// (DESIGN.md §13). A node one semester before the
+// the DAG's counting core and the shared counter behind what-if and
+// cohorts (DESIGN.md §13). A node one semester before the
 // deadline has only terminal children: each selection W ends a path, and
 // a goal path iff goal.Satisfied(X ∪ W). Enumerating them one at a time
 // dominates a counting build — on a typical interactive goal count

@@ -103,11 +103,9 @@ func GoalCountMultiCtx(ctx context.Context, cat *catalog.Catalog, start status.S
 // Sink errors end the run: ErrStopEmit cleanly (Result.Stopped ==
 // StopSink), anything else as the returned error. With Options.Workers >
 // 1 the run fans out and events arrive in nondeterministic order (the
-// path multiset is exact); with MergeStatuses the memo elides repeated
-// subtrees, so path events cover each distinct terminal status once
-// rather than each path. Serial, unmerged runs emit every path in
-// depth-first order and number nodes so a CollectSink can rebuild the
-// exact legacy graph.
+// path multiset is exact). Serial runs emit every path in depth-first
+// order and number nodes so a CollectSink can rebuild the exact legacy
+// graph. MergeStatuses does not apply to streams on the tree substrate.
 //
 // With Options.Substrate == SubstrateDAG the engine builds the
 // interned-status DAG first and lazily unfolds it into full paths: every
@@ -180,8 +178,8 @@ func run(ctx context.Context, cat *catalog.Catalog, start status.Status, end ter
 			e.sink = collect
 		}
 		e.res.Nodes = 1
-		if e.intern != nil {
-			e.intern[start.MapKey()] = 0
+		if opt.MergeStatuses {
+			e.intern = map[status.MapKey]int64{start.MapKey(): 0}
 		}
 	} else {
 		e.sink = sink
@@ -261,26 +259,12 @@ func (e *engine) progress() Progress {
 // (the legacy LIFO pop order), so budget-stopped partial graphs are
 // bit-identical to the old materialize; a counting/streaming walk
 // descends into each child as it is enumerated, exactly as the legacy
-// count did. The run control is consulted once per visited node, and a
-// tally whose computation spanned a stop is never memoised — partial
-// counts must not poison the memo shared with future complete lookups.
+// count did. The run control is consulted once per visited node.
 func (e *engine) walk(st status.Status, id int64) ([2]int64, error) {
 	var out [2]int64
 	if e.ctl != nil {
 		if e.ctl.halted() != stopNone || e.ctl.noteNode() {
 			return out, nil
-		}
-	}
-	var key status.MapKey
-	if e.shared != nil {
-		key = st.MapKey()
-		if c, ok := e.shared.get(key); ok {
-			return c, nil
-		}
-	} else if e.memo != nil && !e.materialized {
-		key = st.MapKey()
-		if c, ok := e.memo[key]; ok {
-			return c, nil
 		}
 	}
 	if !e.materialized {
@@ -309,23 +293,10 @@ func (e *engine) walk(st status.Status, id int64) ([2]int64, error) {
 	case classPruned:
 		return out, e.emitPruned(id, st)
 	}
-	var err error
 	if e.materialized {
-		out, err = e.expandMaterialized(st, id, minTake)
-	} else {
-		out, err = e.expandStreaming(st, id, minTake)
+		return e.expandMaterialized(st, id, minTake)
 	}
-	if err != nil || e.ctl.interrupted() {
-		// The subtree tally may be partial: return it (the caller's total
-		// stays a lower bound) but never memoise it.
-		return out, err
-	}
-	if e.shared != nil {
-		e.shared.put(key, out)
-	} else if e.memo != nil && !e.materialized {
-		e.memo[key] = out
-	}
-	return out, nil
+	return e.expandStreaming(st, id, minTake)
 }
 
 // emitTerminal emits the KindPath event for a completed path ending at st.

@@ -95,8 +95,7 @@ const maxSplitDepth = 32
 // the frontier subtrees then become a shared work pool drained by one
 // engine per worker, with starved workers re-splitting whatever they pop.
 // The decomposition is exact: subtree path counts do not depend on
-// exploration order. With MergeStatuses the workers share a sharded memo,
-// so the collapsed DAG is counted once across the whole pool.
+// exploration order.
 //
 // A run with a sink shares one mutex-serialised sink across the pool:
 // events arrive in nondeterministic order, but the path multiset matches
@@ -130,10 +129,6 @@ func (e *engine) countParallel(start status.Status, workers int) ([2]int64, erro
 	}
 	e.res.Parallel = true
 
-	var shared *sharedMemo
-	if e.opt.MergeStatuses {
-		shared = newSharedMemo()
-	}
 	var sink Sink
 	if e.sink != nil {
 		sink = &lockedSink{ctl: e.ctl, next: e.sink}
@@ -148,8 +143,6 @@ func (e *engine) countParallel(start status.Status, workers int) ([2]int64, erro
 		go func() {
 			defer wg.Done()
 			sub := newEngine(e.cat, e.end, degree.Unwrap(e.rawGoal), e.rawPruners, e.opt)
-			sub.memo = nil
-			sub.shared = shared
 			sub.ctl = e.ctl // one control spans the whole worker pool
 			sub.sink = sink
 			var local [2]int64

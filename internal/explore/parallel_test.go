@@ -12,11 +12,11 @@ import (
 
 // TestCountingModesAgreeOnRandomCatalogs is the counting-equivalence
 // property over randomised catalogs: on every generated scenario, the plain
-// serial count, the memoised (MergeStatuses) count, and the parallel count
-// at 2 and 8 workers — with and without the shared memo — all report the
-// same path and goal-path totals. Non-memoised parallel runs must also
-// reproduce the serial node/edge/prune tallies exactly (the subtree
-// decomposition expands every status exactly once).
+// serial tree count, the serial DAG count, and the parallel count at 2 and
+// 8 workers on either substrate all report the same path and goal-path
+// totals. Parallel tree runs must also reproduce the serial node/edge/prune
+// tallies exactly (the subtree decomposition expands every status exactly
+// once).
 func TestCountingModesAgreeOnRandomCatalogs(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
 		rc := newRandomCase(t, seed)
@@ -29,31 +29,31 @@ func TestCountingModesAgreeOnRandomCatalogs(t *testing.T) {
 			t.Fatalf("seed %d: serial run reported Parallel", seed)
 		}
 
-		mopt := rc.opt
-		mopt.MergeStatuses = true
-		memoised, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, pruners, mopt)
+		dopt := rc.opt
+		dopt.Substrate = SubstrateDAG
+		dag, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, pruners, dopt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if memoised.Paths != serial.Paths || memoised.GoalPaths != serial.GoalPaths {
-			t.Fatalf("seed %d: memoised %d/%d != serial %d/%d",
-				seed, memoised.Paths, memoised.GoalPaths, serial.Paths, serial.GoalPaths)
+		if dag.Paths != serial.Paths || dag.GoalPaths != serial.GoalPaths {
+			t.Fatalf("seed %d: DAG %d/%d != serial %d/%d",
+				seed, dag.Paths, dag.GoalPaths, serial.Paths, serial.GoalPaths)
 		}
 
 		for _, workers := range []int{2, 8} {
-			for _, merge := range []bool{false, true} {
+			for _, sub := range []Substrate{SubstrateTree, SubstrateDAG} {
 				opt := rc.opt
 				opt.Workers = workers
-				opt.MergeStatuses = merge
+				opt.Substrate = sub
 				par, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, pruners, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if par.Paths != serial.Paths || par.GoalPaths != serial.GoalPaths {
-					t.Fatalf("seed %d workers=%d merge=%v: parallel %d/%d != serial %d/%d",
-						seed, workers, merge, par.Paths, par.GoalPaths, serial.Paths, serial.GoalPaths)
+					t.Fatalf("seed %d workers=%d substrate=%v: parallel %d/%d != serial %d/%d",
+						seed, workers, sub, par.Paths, par.GoalPaths, serial.Paths, serial.GoalPaths)
 				}
-				if !merge && (par.Nodes != serial.Nodes || par.Edges != serial.Edges ||
+				if sub == SubstrateTree && (par.Nodes != serial.Nodes || par.Edges != serial.Edges ||
 					par.PrunedTime != serial.PrunedTime || par.PrunedAvail != serial.PrunedAvail) {
 					t.Fatalf("seed %d workers=%d: parallel tallies %+v != serial %+v",
 						seed, workers, par, serial)
@@ -117,16 +117,16 @@ func TestResultParallelFlag(t *testing.T) {
 	}
 }
 
-// TestParallelSharedMemoExactness drives the sharded cross-worker memo on
-// the Brandeis dataset and randomised catalogs. Run under -race this is the
-// concurrency test for the shared memo and the work-redistributing queue;
-// under a plain run it still checks count exactness against the serial
-// memoised baseline.
+// TestParallelSharedMemoExactness drives the parallel DAG count, whose
+// workers intern into levels shared across the pool, on the Brandeis
+// dataset. Run under -race this is the concurrency test for the shared
+// lock-striped levels; under a plain run it still checks count exactness
+// against the serial DAG baseline.
 func TestParallelSharedMemoExactness(t *testing.T) {
 	cat := brandeis.Catalog()
 	start := status.New(cat, term.TwoSeason.MustTerm(2013, term.Fall), bitset.New(cat.Len()))
 	end := brandeis.EndTerm()
-	serialOpt := Options{MaxPerTerm: 3, MergeStatuses: true}
+	serialOpt := Options{MaxPerTerm: 3, Substrate: SubstrateDAG}
 	serial, err := DeadlineCount(cat, start, end, serialOpt)
 	if err != nil {
 		t.Fatal(err)

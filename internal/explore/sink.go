@@ -270,9 +270,7 @@ func (s *lockedSink) Emit(ev Event) error {
 // goal and pruned nodes.
 //
 // CollectSink requires a run that assigns node ids — any serial run; the
-// ids emitted by parallel workers are not globally unique — and, under
-// plain (non-merged) streaming, a run without MergeStatuses, whose memo
-// elides the edges of repeated subtrees.
+// ids emitted by parallel workers are not globally unique.
 type CollectSink struct {
 	g   *graph.Graph
 	ids map[int64]graph.NodeID

@@ -260,24 +260,6 @@ func TestStreamBudgetPrefix(t *testing.T) {
 	}
 }
 
-// TestStreamMergedDedups: with MergeStatuses the memo elides repeated
-// subtrees, so the streamed path events are the distinct-status subset —
-// documented behaviour, checked here so a change is deliberate. The
-// tallies still count every path.
-func TestStreamMergedDedups(t *testing.T) {
-	rc := newRandomCase(t, 5)
-	plain, _, plainRes := collectStream(t, rc.cat, rc.startStatus(), rc.end, rc.req, nil, rc.opt)
-	mopt := rc.opt
-	mopt.MergeStatuses = true
-	merged, _, mergedRes := collectStream(t, rc.cat, rc.startStatus(), rc.end, rc.req, nil, mopt)
-	if len(merged) > len(plain) {
-		t.Fatalf("merged stream delivered more paths (%d) than plain (%d)", len(merged), len(plain))
-	}
-	if mergedRes.Paths != plainRes.Paths || mergedRes.GoalPaths != plainRes.GoalPaths {
-		t.Fatalf("merged tallies %+v != plain %+v", mergedRes, plainRes)
-	}
-}
-
 // TestRankedStreamOrderAndParity: ranked emission follows the ordering
 // contract (nondecreasing cost, exactly the RankedResult paths, in rank
 // order) and a sink stop keeps the delivered prefix optimal.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/bitset"
@@ -36,8 +37,9 @@ type SelectionImpact struct {
 // are sorted by descending GoalPaths (ties: more next-semester options,
 // then smaller selections first).
 //
-// Counting uses status interning per candidate, so the total work is
-// bounded by the goal-driven DAG size rather than candidates × tree.
+// Unless Options.Substrate forces the tree walk, every candidate is
+// counted by one memoised tally over distinct statuses, so the total work
+// is bounded by the goal-driven DAG size rather than candidates × tree.
 func CompareSelections(cat *catalog.Catalog, start status.Status, end term.Term, goal degree.Goal, pruners []Pruner, opt Options) ([]SelectionImpact, error) {
 	out, _, err := CompareSelectionsCtx(context.Background(), cat, start, end, goal, pruners, opt)
 	return out, err
@@ -78,12 +80,13 @@ func CompareSelectionsCtx(ctx context.Context, cat *catalog.Catalog, start statu
 // the run and is returned.
 //
 // Unless Options.Substrate forces the tree walk, candidates are scored
-// over one shared interned-status DAG (see whatIfDAG): subtrees common to
-// several candidates are counted once, and all impacts fall out of a
-// single bottom-up DP pass. The tree path re-counts per candidate but can
-// attribute partial work, so a budget-stopped tree run delivers the
-// candidates scored before the stop while a stopped DAG run delivers
-// none (per-candidate shares of a shared build are unattributable).
+// by one request-scoped SharedCounter (see whatIfDAG): subtrees common to
+// several candidates are counted once. The tree path re-counts each
+// candidate with the plain walk — the oracle the DAG path is tested
+// against — and can attribute partial work, so a budget-stopped tree run
+// delivers the candidates scored before the stop while a stopped DAG run
+// delivers none (per-candidate shares of shared work are
+// unattributable). Options.Workers does not fan what-if out.
 func CompareSelectionsStream(ctx context.Context, cat *catalog.Catalog, start status.Status, end term.Term, goal degree.Goal, pruners []Pruner, opt Options, fn func(SelectionImpact) error) (string, error) {
 	if goal == nil {
 		return "", fmt.Errorf("explore: CompareSelections requires a goal")
@@ -116,9 +119,7 @@ func CompareSelectionsStream(ctx context.Context, cat *catalog.Catalog, start st
 				impact.Paths = 1
 			}
 		} else {
-			countOpt := opt
-			countOpt.MergeStatuses = true
-			res, err := GoalCountCtx(ctx, cat, child, end, goal, pruners, countOpt)
+			res, err := GoalCountCtx(ctx, cat, child, end, goal, pruners, opt)
 			if err != nil {
 				return err
 			}
@@ -140,47 +141,48 @@ func CompareSelectionsStream(ctx context.Context, cat *catalog.Catalog, start st
 	return stopped, err
 }
 
-// whatIfDAG scores every candidate selection over one shared
-// interned-status DAG: each candidate's resulting status is interned as a
-// root, the DAG below all roots is built once (statuses reachable from
-// several candidates are generated and expanded once, not once per
-// candidate), and a single bottom-up DP pass yields every candidate's
-// exact {paths, goal paths} delta. Candidates landing at the end semester
-// are their own path endpoint and are scored inline, exactly as the tree
-// path does. A budget-stopped build delivers no candidates — the shared
-// DP cannot attribute the partial work — and returns the stop reason.
+// whatIfDAG scores every candidate selection with one request-scoped
+// SharedCounter (horizon 0, uncapped): each candidate's resulting status
+// is a root of the counter's memoised tally, so statuses reachable from
+// several candidates are expanded once, not once per candidate.
+// Candidates landing at the end semester are their own path endpoint and
+// are scored inline, exactly as the tree path does. The counter's engine
+// carries the run control, so a budget or cancellation stops its build;
+// a stopped run delivers no candidates — per-candidate shares of the
+// shared work are unattributable — and returns the stop reason.
 func whatIfDAG(ctx context.Context, cat *catalog.Catalog, start status.Status, end term.Term, goal degree.Goal, pruners []Pruner, opt Options, fn func(SelectionImpact) error) (string, error) {
-	e := newEngine(cat, end, goal, pruners, opt)
+	sc, err := NewSharedCounter(cat, end, 0, goal, pruners, opt, math.MaxInt64)
+	if err != nil {
+		return "", err
+	}
+	e := sc.e
 	e.ctl = newControl(ctx, opt.Budget)
 	type candidate struct {
-		w                bitset.Set
-		child            status.Status
-		n                *dagNode // nil when scored inline (end-semester child)
-		paths, goalPaths int64
-		nextOptions      int
-		pending          bool // child must be interned as a DAG root
+		impact SelectionImpact
+		child  status.Status // zero when scored inline (end-semester child)
 	}
-	// Candidate enumeration runs before the builder exists: the builder
-	// installs the engine's selection scratch (engine.selScratch), and the
-	// candidate sets collected here must be retained, not reused.
+	// Candidate enumeration runs before the first build: a build points
+	// the engine's selection scratch (engine.selScratch) at the counter's
+	// per-depth sets, and the candidate sets collected here must be
+	// retained, not reused.
 	var cands []candidate
 	stopped := ""
-	err := e.selections(start, 0, func(w bitset.Set) error {
+	err = e.selections(start, 0, func(w bitset.Set) error {
 		if r := e.ctl.haltReason(); r != "" {
 			stopped = r
 			return errStopRun
 		}
 		child := e.advance(start, w)
-		c := candidate{w: w, nextOptions: child.Options.Len()}
-		if !child.Term.Before(end) {
+		c := candidate{impact: SelectionImpact{Selection: w, NextOptions: child.Options.Len()}}
+		if child.Term.Before(end) {
+			c.child = child
+		} else {
 			// The child sits at the end semester: it is itself the path
 			// endpoint, a goal path iff the goal is now satisfied.
-			c.paths = 1
+			c.impact.Paths = 1
 			if e.goal.Satisfied(child.Completed) {
-				c.goalPaths = 1
+				c.impact.GoalPaths = 1
 			}
-		} else {
-			c.child, c.pending = child, true
 		}
 		cands = append(cands, c)
 		return nil
@@ -188,30 +190,30 @@ func whatIfDAG(ctx context.Context, cat *catalog.Catalog, start status.Status, e
 	if err != nil && !errors.Is(err, errStopRun) {
 		return stopped, err
 	}
-	b := newDAGBuilder(e, dagTally)
-	for i := range cands {
-		if cands[i].pending {
-			cands[i].n = b.add(cands[i].child, 0)
-		}
-	}
-	if stopped == "" {
-		if opt.Workers > 1 {
-			b.buildParallel(opt.Workers)
-		} else {
-			b.build()
-		}
-		b.retally()
-		stopped = e.ctl.reason()
-	}
 	if stopped != "" {
 		return stopped, nil
 	}
-	for _, c := range cands {
-		if c.n != nil {
-			c.paths, c.goalPaths = c.n.tally[0], c.n.tally[1]
+	for i := range cands {
+		c := &cands[i]
+		if c.child.Term.IsZero() {
+			continue
 		}
-		impact := SelectionImpact{Selection: c.w, GoalPaths: c.goalPaths, Paths: c.paths, NextOptions: c.nextOptions}
-		if err := fn(impact); err != nil {
+		counts, err := sc.Counts(ctx, c.child)
+		if err != nil {
+			if r := e.ctl.haltReason(); r != "" {
+				return r, nil
+			}
+			return "", err
+		}
+		c.impact.Paths, c.impact.GoalPaths = counts.Paths, counts.GoalPaths[0]
+	}
+	// A path budget can run out on a build's last charge, which ends the
+	// build without an error.
+	if r := e.ctl.reason(); r != "" {
+		return r, nil
+	}
+	for _, c := range cands {
+		if err := fn(c.impact); err != nil {
 			if errors.Is(err, ErrStopEmit) {
 				return StopSink, nil
 			}

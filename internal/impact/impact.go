@@ -134,7 +134,7 @@ func Compare(oldCat, newCat *catalog.Catalog, a Analysis) (Report, error) {
 		if err != nil {
 			return explore.Result{}, err
 		}
-		opt := explore.Options{MaxPerTerm: a.MaxPerTerm, MergeStatuses: true}
+		opt := explore.Options{MaxPerTerm: a.MaxPerTerm, Substrate: explore.SubstrateDAG}
 		return explore.GoalCount(cat, status.New(cat, a.Start, x), a.End, goal,
 			explore.PaperPruners(cat, goal, a.MaxPerTerm), opt)
 	}

@@ -17,10 +17,9 @@ import (
 var ErrStopStream = errors.New("coursenav: stop streaming")
 
 // ErrMergedStreamUnsupported reports a streaming request that cannot
-// honour Query.MergeStatuses: on the tree substrate a merged subtree is
-// walked once and loses per-path identity, and a collected stream
-// (DeadlineStreamCollect, GoalStreamCollect) needs exactly that per-path
-// node identity for its graph. Plain streams support MergeStatuses via
+// honour Query.MergeStatuses: the tree walk merges statuses only into a
+// materialised graph, and a collected stream (DeadlineStreamCollect,
+// GoalStreamCollect) needs per-path node identity for its graph. Plain streams support MergeStatuses via
 // the DAG substrate's lazy unfold — statuses are interned (merged) during
 // construction and every full path is still emitted — so leave
 // Query.Substrate as "auto"/"dag" for DeadlineStream and GoalStream, or
@@ -64,8 +63,8 @@ func (n *Navigator) pathFromSteps(steps []explore.Step) Path {
 // interned-status DAG, then lazily unfolds it so every full path is
 // still delivered, in the serial tree walk's depth-first order.
 // Combining MergeStatuses with Substrate "tree" returns
-// ErrMergedStreamUnsupported — the tree walk cannot merge without losing
-// path identity.
+// ErrMergedStreamUnsupported — the tree walk merges statuses only into a
+// materialised graph.
 //
 // With Query.Workers > 1 the engine fans out and paths arrive in
 // nondeterministic order (the multiset is exact); fn is never called
