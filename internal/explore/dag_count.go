@@ -50,13 +50,16 @@ const (
 
 // countStripe is one lock stripe of a level: its statuses as fixed-size
 // records in one flat slice, plus their open-addressed index. A record is
-// the status's prefix count, then its class and minTake, then its
-// completed-set words, so the probe that finds a status and the prefix
-// add that follows touch one record.
+// a head of head words, then the status's completed-set words, so the
+// probe that finds a status and the read or add that follows touch one
+// record. The forward DP's head is the status's prefix count, then its
+// class and minTake (countRecHead words); the shared counter's is the
+// status's tally vector (dag_shared.go).
 type countStripe struct {
 	mu sync.Mutex // held while interning, in parallel builds only
 
 	recs   []uint64
+	head   int // words before the completed set
 	stride int // completed-set words per record
 
 	// slots is the open-addressed index: a slot holds the low 32 bits of
@@ -67,7 +70,7 @@ type countStripe struct {
 	mask  uint64
 }
 
-// countRecHead is a record's length before its completed-set words.
+// countRecHead is a forward-DP record's head length.
 const countRecHead = 2
 
 // countLevel is one semester of a counting build.
@@ -80,7 +83,7 @@ type countLevel struct {
 func newCountLevel(stride, stripes int) *countLevel {
 	lv := &countLevel{stripes: make([]countStripe, stripes)}
 	for i := range lv.stripes {
-		lv.stripes[i].stride = stride
+		lv.stripes[i].head, lv.stripes[i].stride = countRecHead, stride
 	}
 	return lv
 }
@@ -113,11 +116,11 @@ func (lv *countLevel) stripe(h uint64) *countStripe {
 	return &lv.stripes[h>>(64-memoShardBits)]
 }
 
-func (s *countStripe) len() int { return len(s.recs) / (countRecHead + s.stride) }
+func (s *countStripe) len() int { return len(s.recs) / (s.head + s.stride) }
 
 // rec returns status i's record.
 func (s *countStripe) rec(i int) []uint64 {
-	n := countRecHead + s.stride
+	n := s.head + s.stride
 	return s.recs[i*n : (i+1)*n : (i+1)*n]
 }
 
@@ -129,11 +132,11 @@ func recSet(r []uint64) bitset.Set    { return bitset.FromWords(r[countRecHead:]
 func recAdd(r []uint64, prefix int64) { r[0] = uint64(satAdd(int64(r[0]), prefix)) }
 
 // lookup returns the index of the status whose completed set is key, or
-// -1 and the empty slot an insert of key must fill. It grows the table
-// first when one more status would lift the load factor past 3/4.
+// -1 and the empty slot an insert of key would fill. It writes nothing,
+// so readers may probe concurrently.
 func (s *countStripe) lookup(h uint64, key []uint64) (int, uint64) {
-	if (s.len()+1)*4 > len(s.slots)*3 {
-		s.grow()
+	if len(s.slots) == 0 {
+		return -1, 0
 	}
 	tag := h << 32
 	for i := h & s.mask; ; i = (i + 1) & s.mask {
@@ -143,7 +146,7 @@ func (s *countStripe) lookup(h uint64, key []uint64) (int, uint64) {
 		}
 		if v&^math.MaxUint32 == tag {
 			j := int(uint32(v)) - 1
-			if slices.Equal(s.rec(j)[countRecHead:], key) {
+			if slices.Equal(s.rec(j)[s.head:], key) {
 				return j, i
 			}
 		}
@@ -166,12 +169,23 @@ func (s *countStripe) grow() {
 	}
 }
 
-// add appends a status and indexes it in slot at (from lookup's miss).
-func (s *countStripe) add(at, h uint64, key []uint64, prefix int64, cls nodeClass, minTake int) {
+// addRecord appends a status's record — head, then its completed set
+// key — and indexes it in slot at (from lookup's miss), first growing the
+// table when one more status would lift its load factor past 3/4.
+func (s *countStripe) addRecord(at, h uint64, head, key []uint64) {
+	if (s.len()+1)*4 > len(s.slots)*3 {
+		s.grow()
+		_, at = s.lookup(h, key)
+	}
 	j := s.len()
-	s.recs = append(reserve(s.recs, countRecHead+len(key)), uint64(prefix), uint64(cls)<<32|uint64(uint32(minTake)))
-	s.recs = append(s.recs, key...)
+	s.recs = append(append(reserve(s.recs, len(head)+len(key)), head...), key...)
 	s.slots[at] = h<<32 | uint64(j+1)
+}
+
+// add appends a forward-DP status: its prefix count, then its class and
+// minTake.
+func (s *countStripe) add(at, h uint64, key []uint64, prefix int64, cls nodeClass, minTake int) {
+	s.addRecord(at, h, []uint64{uint64(prefix), uint64(cls)<<32 | uint64(uint32(minTake))}, key)
 }
 
 // hashWords mixes a completed set's words into a 64-bit hash, as

@@ -10,17 +10,16 @@ import "repro/internal/status"
 // tree walk despite doing 15x less classification work. The substrate
 // therefore brings its own storage:
 //
-//   - nodeSlabOf: chunked, pointer-stable bulk allocation of nodes, so a
+//   - nodeSlab: chunked, pointer-stable bulk allocation of nodes, so a
 //     multi-million-node build costs thousands of allocations, not millions.
-//   - internTableOf: an open-addressed hash table with the 8-byte hashes in
+//   - internTable: an open-addressed hash table with the 8-byte hashes in
 //     their own probe array (8 slots per cache line) and the key/pointer
 //     payload touched only on a hash match, so a probe costs ~1 cache miss
 //     and a hit ~2 — versus several for a runtime map at this key size.
 //
-// The slab and table are generic over the node payload: the streaming
-// DAG builder stores dagNodes, the shared counter (dag_shared.go, behind
-// what-if and cohorts) stores sharedNodes in the same layout.
-// Counting runs keep flat per-level arrays instead (dag_count.go).
+// Both serve only the streaming DAG builder, whose unfold needs edges and
+// whole statuses. Counting — the forward DP and the shared counter behind
+// what-if and cohorts — keeps flat per-level records (dag_count.go).
 
 // Node slab chunks grow geometrically from dagChunkMin to dagChunk nodes.
 // At 120 bytes per dagNode, a query that interns a dozen statuses
@@ -32,24 +31,21 @@ const (
 	dagChunk    = 1 << 13
 )
 
-// nodeSlabOf bulk-allocates nodes in chunks. Chunks are never
+// nodeSlab bulk-allocates nodes in chunks. Chunks are never
 // reallocated, so node pointers stay valid for the life of the build, and
 // iterating the chunks visits every allocated node in creation order.
-type nodeSlabOf[T any] struct {
-	chunks [][]T
+type nodeSlab struct {
+	chunks [][]dagNode
 }
 
-// nodeSlab is the streaming DAG builder's slab.
-type nodeSlab = nodeSlabOf[dagNode]
-
-func (s *nodeSlabOf[T]) alloc() *T {
+func (s *nodeSlab) alloc() *dagNode {
 	k := len(s.chunks)
 	if k == 0 || len(s.chunks[k-1]) == cap(s.chunks[k-1]) {
 		size := dagChunkMin
 		if k > 0 {
 			size = min(2*cap(s.chunks[k-1]), dagChunk)
 		}
-		s.chunks = append(s.chunks, make([]T, 0, size))
+		s.chunks = append(s.chunks, make([]dagNode, 0, size))
 	}
 	c := &s.chunks[len(s.chunks)-1]
 	*c = (*c)[:len(*c)+1]
@@ -66,34 +62,31 @@ func dagHash(k status.MapKey) uint64 {
 	return h
 }
 
-// internSlotOf is an internTableOf payload entry: the full key (verified
-// on hash match, so a 64-bit hash collision can never merge two distinct
+// internSlot is an internTable payload entry: the full key (verified on
+// hash match, so a 64-bit hash collision can never merge two distinct
 // statuses) and the interned node.
-type internSlotOf[T any] struct {
+type internSlot struct {
 	key status.MapKey
-	n   *T
+	n   *dagNode
 }
 
-// internTableOf is the open-addressed status interner: linear probing over
+// internTable is the open-addressed status interner: linear probing over
 // the hashes array, payload verified only on a hash match. Entries are
 // never deleted, so no tombstones are needed. The zero value is an empty
 // table ready for use.
-type internTableOf[T any] struct {
+type internTable struct {
 	mask   uint64
 	hashes []uint64 // probe array; 0 = empty slot
-	slots  []internSlotOf[T]
+	slots  []internSlot
 	n      int
 }
-
-// internTable is the streaming DAG builder's interner.
-type internTable = internTableOf[dagNode]
 
 // internMinSize is a fresh table's slot count; growth doubles it. It is
 // kept small because most queries intern a few dozen statuses.
 const internMinSize = 1 << 6
 
 // lookup returns the node interned under (h, k), or nil.
-func (t *internTableOf[T]) lookup(h uint64, k status.MapKey) *T {
+func (t *internTable) lookup(h uint64, k status.MapKey) *dagNode {
 	if t.n == 0 {
 		return nil
 	}
@@ -111,7 +104,7 @@ func (t *internTableOf[T]) lookup(h uint64, k status.MapKey) *T {
 
 // insert adds (h, k) → n. The key must not already be present (callers
 // always lookup first); growth keeps the load factor under 3/4.
-func (t *internTableOf[T]) insert(h uint64, k status.MapKey, n *T) {
+func (t *internTable) insert(h uint64, k status.MapKey, n *dagNode) {
 	if (t.n+1)*4 > len(t.hashes)*3 {
 		t.grow()
 	}
@@ -120,18 +113,18 @@ func (t *internTableOf[T]) insert(h uint64, k status.MapKey, n *T) {
 		i = (i + 1) & t.mask
 	}
 	t.hashes[i] = h
-	t.slots[i] = internSlotOf[T]{key: k, n: n}
+	t.slots[i] = internSlot{key: k, n: n}
 	t.n++
 }
 
-func (t *internTableOf[T]) grow() {
+func (t *internTable) grow() {
 	size := internMinSize
 	if len(t.hashes) > 0 {
 		size = len(t.hashes) * 2
 	}
 	oldH, oldS := t.hashes, t.slots
 	t.hashes = make([]uint64, size)
-	t.slots = make([]internSlotOf[T], size)
+	t.slots = make([]internSlot, size)
 	t.mask = uint64(size - 1)
 	for j, h := range oldH {
 		if h == 0 {

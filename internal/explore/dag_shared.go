@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,77 +14,47 @@ import (
 	"repro/internal/term"
 )
 
-// This file implements the many-roots DAG substrate (DESIGN.md §17):
-// an interner + tally memo keyed by (catalog, goal, deadline, options)
-// that answers goal-path counts for MANY start statuses. A
-// cohort run replans thousands of members against one catalog variant;
+// This file implements the many-roots DAG substrate (DESIGN.md §17): a
+// tally memo over interned statuses, pinned to one (catalog, goal,
+// deadline, options) variant, that answers goal-path counts for MANY start
+// statuses. A cohort replans thousands of members against one variant;
 // their reachable statuses overlap massively (curricula are shallow and
-// wide), so the cost of the whole cohort scales with the number of
-// DISTINCT statuses across all members, not with members × rebuilds.
+// wide), so a cohort costs its DISTINCT statuses, not members × rebuilds.
 //
-// Differences from the one-root counting core (dag_count.go):
+// Counting has one status layout and two traversals. The forward DP
+// (dag_count.go) pushes path prefixes from one root, level by level. The
+// counter memoises each status's tally vector — total maximal paths, then
+// goal paths for every deadline in [end, end+horizon] — depth first, so a
+// root reuses every status an earlier build reached. Both keep a
+// semester's statuses as flat records in a countStripe; here a record is
+// the tally vector, then the completed-set words, and holds no pointer.
 //
-//   - Tallies are stored per status, not per run: sharedNode carries a
-//     (horizon+2)-wide vector — total maximal paths, plus goal paths for
-//     every deadline in [end, end+horizon] — filled by a memoised
-//     depth-first DP. The one forward-prefix trick does not apply (each
-//     member roots the DP somewhere else), but each distinct status is
-//     still expanded at most once for the life of the counter.
-//   - Storage is the generic slab/table machinery (dag_intern.go) with
-//     sharedNode payloads, plus a vector slab so a million nodes cost
-//     thousands of allocations.
-//   - The counter is safe for concurrent use: lookups of already-built
-//     roots take a read lock; building takes the write lock, so one
-//     member's miss never blocks another member's hit.
-//   - Memory is bounded by MaxStatuses: a build that would exceed the
-//     hard cap (2x, saturating, so a budget of MaxInt64 means no cap)
-//     aborts and evicts; a build that lands between the budget and the
-//     cap completes, answers, and then evicts — the next call starts
-//     cold, which trades latency for the bound.
+//   - Lookups of built roots take the read lock; builds take the write
+//     lock, so one member's miss never blocks another member's hit.
+//   - MaxStatuses bounds memory: a build that would exceed the hard cap
+//     (2x, saturating, so MaxInt64 means no cap) aborts and evicts; one
+//     that lands between the budget and the cap answers, then evicts.
 //   - Tallies saturate at MaxInt64, as every counting run's do.
 //
-// The counter also scores what-if candidates (whatif.go): one uncapped
-// counter per request, horizon 0, its engine carrying the request's run
-// control. A build then charges that control as a counting run does —
-// one node per created status, one path per terminal fold, a stop check
-// between selections — and a stop aborts the build. Cohort counters
-// carry no control; their builds check the context periodically.
+// What-if (whatif.go) scores its candidates with one uncapped counter per
+// request, horizon 0, whose engine carries the request's run control. A
+// build then charges it as a counting run does — one node per created
+// status, one path per terminal fold, a stop check between selections —
+// and a stop aborts the build. Cohort counters carry no control; their
+// builds check the context periodically.
 
 // defaultSharedStatuses bounds a SharedCounter's interned statuses when
-// the caller passes no budget. At ~200 bytes per interned status
-// (table slot + node + vector + arena sets) this is roughly 200 MB.
+// the caller passes no budget. A status costs its record, (horizon + 2 +
+// set words) × 8 bytes (40 for Brandeis at horizon 2), plus its index slot
+// and the doubling slices' slack: ~50–100 bytes, so this is ~50–100 MB.
 const defaultSharedStatuses = 1 << 20
 
-// sharedNode is one interned status's memoised tally vector. vec[0] is
-// the number of maximal paths from the status under the farthest
-// deadline; vec[1+h] the number of goal-reaching paths under deadline
-// end+h. The status itself is not retained — only the key identifies it.
-type sharedNode struct {
-	vec []int64
-}
-
-// Vector slab chunks grow geometrically from vecChunkMin to vecChunk
-// int64s, like the node slab's chunks.
-const (
-	vecChunkMin = 1 << 9
-	vecChunk    = 1 << 15
-)
-
-// vecSlab bulk-allocates tally vectors. Like nodeSlabOf, chunks are
-// never reallocated, so handed-out vectors stay valid until the counter
-// is evicted wholesale.
-type vecSlab struct {
-	buf []int64
-}
-
-func (s *vecSlab) alloc(stride int) []int64 {
-	if cap(s.buf)-len(s.buf) < stride {
-		n := max(min(2*cap(s.buf), vecChunk), vecChunkMin, stride)
-		s.buf = make([]int64, 0, n)
-	}
-	v := s.buf[len(s.buf) : len(s.buf)+stride : len(s.buf)+stride]
-	s.buf = s.buf[:len(s.buf)+stride]
-	return v
+// sharedFrame is one depth's scratch in the depth-first build: the
+// selection set (engine.selScratch), the candidate child's completed and
+// option sets, and the tally vector of the status being built there.
+type sharedFrame struct {
+	sel, child, opts bitset.Set
+	vec              []uint64
 }
 
 // SharedStats snapshots a SharedCounter's lifetime tallies.
@@ -119,26 +90,19 @@ type SharedCounts struct {
 type SharedCounter struct {
 	mu sync.RWMutex
 
-	cat     *catalog.Catalog
-	end     term.Term // base deadline; the engine's deadline is end+horizon
-	horizon int
-	goal    degree.Goal
-	pruners []Pruner
-	opt     Options
-
+	end         term.Term // base deadline; the engine's deadline is end+horizon
+	horizon     int
 	maxStatuses int64
 
-	e    *engine
-	tab  internTableOf[sharedNode]
-	slab nodeSlabOf[sharedNode]
-	vecs vecSlab
+	e *engine // pins the variant: catalog, deadline, goal, pruners, options
+	// levels[lastOrd−o] holds semester o's statuses, lastOrd being the
+	// engine's deadline − 1; n counts them all; stride is the set words.
+	levels          []countStripe
+	lastOrd, stride int
+	n               int64
 
-	// Per-depth scratch sets for the DFS: selections hands out
-	// wscr[d] at depth d (engine.selScratch), and uscr[d] holds the
-	// candidate child's completed union for the memo probe. Pointers,
-	// not values — growing the slices must not move the set an inner
-	// frame still references.
-	wscr, uscr []*bitset.Set
+	// frames[d] is the scratch of a build's depth d.
+	frames []sharedFrame
 
 	// steps gates the periodic context check during builds.
 	steps int64
@@ -175,23 +139,19 @@ func NewSharedCounter(cat *catalog.Catalog, end term.Term, horizon int, goal deg
 	if maxStatuses == 0 {
 		maxStatuses = defaultSharedStatuses
 	}
-	c := &SharedCounter{
-		cat: cat, end: end, horizon: horizon,
-		goal: goal, pruners: pruners, opt: opt,
-		maxStatuses: maxStatuses,
-	}
-	c.reset()
-	return c, nil
+	return &SharedCounter{
+		end: end, horizon: horizon, maxStatuses: maxStatuses,
+		e:       newEngine(cat, end.Add(horizon), goal, pruners, opt),
+		lastOrd: end.Add(horizon).Ordinal() - 1, stride: (cat.Len() + 63) / 64,
+	}, nil
 }
 
-// reset drops every interned status and the engine (whose arena holds
-// their completed/option sets) wholesale. Caller holds mu.
+// reset drops every interned status and the engine wholesale. Caller
+// holds mu.
 func (c *SharedCounter) reset() {
-	c.e = newEngine(c.cat, c.end.Add(c.horizon), c.goal, c.pruners, c.opt)
-	c.tab = internTableOf[sharedNode]{}
-	c.slab = nodeSlabOf[sharedNode]{}
-	c.vecs = vecSlab{}
-	c.wscr, c.uscr = nil, nil
+	e := c.e
+	c.e = newEngine(e.cat, e.end, e.rawGoal, e.rawPruners, e.opt)
+	c.levels, c.n = nil, 0
 }
 
 // Stats snapshots the lifetime tallies.
@@ -199,8 +159,7 @@ func (c *SharedCounter) Stats() SharedStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	s := c.stats
-	s.Statuses = int64(c.tab.n)
-	s.Hits = c.hits.Load()
+	s.Statuses, s.Hits = c.n, c.hits.Load()
 	return s
 }
 
@@ -209,58 +168,73 @@ func (c *SharedCounter) Horizon() int { return c.horizon }
 
 // Counts answers one start status: the number of maximal paths (under
 // the farthest deadline) and of goal-reaching paths under every deadline
-// in [end, end+horizon]. The first query from a region of the status
-// space pays for the DP over the statuses reachable from it; later
-// queries from overlapping regions reuse every status already built,
-// and a repeated start is a pure read-locked lookup.
-//
-// Counts are bit-identical to a per-deadline GoalCount run from the same
-// start: classification and enumeration are the same engine code, and
-// the per-deadline split follows the multi-deadline argument (see
-// MultiResult). Unlike budgeted one-shot runs there are no partial
-// results: a cancelled or over-budget build returns an error (already
-// built subtrees are kept for the next caller unless the hard cap was
-// hit, which evicts).
+// in [end, end+horizon]. A query pays for the statuses reachable from its
+// start that no earlier query built; a repeated start is a pure
+// read-locked lookup. Counts are bit-identical to a per-deadline
+// GoalCount run from the same start (see MultiResult). There are no
+// partial results: a cancelled or over-budget build returns an error,
+// keeping the subtrees it completed unless the hard cap was hit, which
+// evicts.
 func (c *SharedCounter) Counts(ctx context.Context, start status.Status) (SharedCounts, error) {
-	if start.Term.IsZero() || start.Term.Calendar() != c.cat.Calendar() {
+	return c.countsInto(ctx, start, make([]int64, c.horizon+1))
+}
+
+// countsInto is Counts answering GoalPaths in goal's storage (horizon+1
+// long), so a caller scoring many roots allocates no slice per answer.
+func (c *SharedCounter) countsInto(ctx context.Context, start status.Status, goal []int64) (SharedCounts, error) {
+	if start.Term.IsZero() || start.Term.Calendar() != c.e.cat.Calendar() {
 		return SharedCounts{}, fmt.Errorf("explore: SharedCounter: bad start term %v", start.Term)
 	}
 	if !start.Term.Before(c.end) {
 		return SharedCounts{}, fmt.Errorf("explore: SharedCounter: end semester %v is not after start %v", c.end, start.Term)
 	}
-	key := start.MapKey()
-	h := dagHash(key)
+	key := start.Completed.Words()
+	if len(key) < c.stride { // pad a short set's copy to the key width
+		key = append(make([]uint64, 0, c.stride), key...)[:c.stride]
+	} else if slices.ContainsFunc(key[c.stride:], func(v uint64) bool { return v != 0 }) {
+		return SharedCounts{}, fmt.Errorf("explore: SharedCounter: completed set names a course outside the catalog")
+	}
+	key = key[:c.stride]
+	h := hashWords(key)
+	li := c.lastOrd - start.Term.Ordinal()
 
 	c.mu.RLock()
-	if n := c.tab.lookup(h, key); n != nil {
-		out := c.answer(n.vec, true)
-		c.mu.RUnlock()
-		c.hits.Add(1)
-		return out, nil
+	if li < len(c.levels) {
+		s := &c.levels[li]
+		if j, _ := s.lookup(h, key); j >= 0 {
+			out := answer(s.rec(j), goal, true)
+			c.mu.RUnlock()
+			c.hits.Add(1)
+			return out, nil
+		}
 	}
 	c.mu.RUnlock()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := c.tab.lookup(h, key); n != nil { // raced with another builder
+	c.ready(li)
+	s := &c.levels[li]
+	j, at := s.lookup(h, key)
+	if j >= 0 { // raced with another builder
 		c.hits.Add(1)
-		return c.answer(n.vec, true), nil
+		return answer(s.rec(j), goal, true), nil
 	}
 	c.newN, c.reusedN = 0, 0
 	c.stats.Builds++
-	vec, err := c.build(ctx, h, key, start, 0)
+	root := status.Status{Term: start.Term, Completed: bitset.FromWords(key), Options: start.Options}
+	vec, err := c.build(ctx, s, at, h, root, 0)
 	c.stats.NewStatuses += c.newN
 	c.stats.ReusedStatuses += c.reusedN
 	if err != nil {
-		if int64(c.tab.n) >= c.hardCap() {
+		if c.n >= c.hardCap() {
 			c.stats.Evictions++
 			c.reset()
 		}
 		return SharedCounts{}, err
 	}
-	out := c.answer(vec, false)
+	out := answer(vec, goal, false)
 	out.NewStatuses, out.ReusedStatuses = c.newN, c.reusedN
-	if int64(c.tab.n) > c.maxStatuses {
+	if c.n > c.maxStatuses {
 		// Over budget: the answer stands (every tally is complete), but
 		// the substrate is dropped so memory returns to the bound.
 		c.stats.Evictions++
@@ -269,10 +243,33 @@ func (c *SharedCounter) Counts(ctx context.Context, start status.Status) (Shared
 	return out, nil
 }
 
-func (c *SharedCounter) answer(vec []int64, hit bool) SharedCounts {
-	out := SharedCounts{Paths: vec[0], GoalPaths: make([]int64, c.horizon+1), Hit: hit}
-	copy(out.GoalPaths, vec[1:])
-	return out
+// ready sizes the levels and frames a build rooted on level li reaches:
+// levels li down to 0, one frame per level. Both grow only here, before a
+// build, because a build holds pointers into them.
+func (c *SharedCounter) ready(li int) {
+	for len(c.levels) <= li {
+		c.levels = append(c.levels, countStripe{head: c.horizon + 2, stride: c.stride})
+	}
+	if len(c.frames) > li {
+		return
+	}
+	w, fw := c.stride, 3*c.stride+c.horizon+2
+	buf := make([]uint64, (li+1)*fw)
+	c.frames = make([]sharedFrame, li+1)
+	for d := range c.frames {
+		b, f := buf[d*fw:(d+1)*fw:(d+1)*fw], &c.frames[d]
+		f.sel, f.child, f.opts = bitset.FromWords(b[:w:w]), bitset.FromWords(b[w:2*w:2*w]), bitset.FromWords(b[2*w:3*w:3*w])
+		f.vec = b[3*w:]
+	}
+}
+
+// answer reads a tally vector (or a record, which starts with one) into
+// an answer whose GoalPaths is goal.
+func answer(vec []uint64, goal []int64, hit bool) SharedCounts {
+	for h := range goal {
+		goal[h] = int64(vec[1+h])
+	}
+	return SharedCounts{Paths: int64(vec[0]), GoalPaths: goal, Hit: hit}
 }
 
 // errSharedBudget aborts a build that would exceed the hard status cap.
@@ -282,24 +279,17 @@ var errSharedBudget = fmt.Errorf("explore: shared counter over status budget")
 // budget, saturating.
 func (c *SharedCounter) hardCap() int64 { return satMul(2, c.maxStatuses) }
 
-// scratch ensures the per-depth scratch sets exist through depth d.
-func (c *SharedCounter) scratch(d int) {
-	for len(c.wscr) <= d {
-		c.wscr = append(c.wscr, new(bitset.Set))
-		c.uscr = append(c.uscr, new(bitset.Set))
-	}
-}
-
-// build computes the tally vector for a status not yet interned, interning
-// it on completion (never before: a cancelled build must not leave
-// half-filled vectors behind). Caller holds the write lock and has
-// already missed on (h, key).
-func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, st status.Status, depth int) ([]int64, error) {
+// build computes the tally vector of st, a status not yet interned, and
+// adds its record to level s at slot at (from lookup's miss under hash h)
+// on completion — never before: a cancelled build must not leave
+// half-filled vectors behind. The vector returned is depth's scratch,
+// valid until the next build at that depth. Caller holds the write lock.
+func (c *SharedCounter) build(ctx context.Context, s *countStripe, at, h uint64, st status.Status, depth int) ([]uint64, error) {
 	if c.steps++; c.steps&255 == 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if int64(c.tab.n) >= c.hardCap() {
+		if c.n >= c.hardCap() {
 			return nil, errSharedBudget
 		}
 	}
@@ -307,27 +297,23 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 	if e.ctl != nil && (e.ctl.halted() != stopNone || e.ctl.noteNode()) {
 		return nil, errStopRun
 	}
-	stride := c.horizon + 2
-	vec := c.vecs.alloc(stride)
+	f := &c.frames[depth]
+	vec := f.vec
+	clear(vec)
 	endOrd := c.end.Ordinal()
 
 	cls, minTake := e.classify(st)
 	switch cls {
 	case classGoal:
 		e.notePaths(1)
-		vec[0] = 1
-		for hz := clampHz(st.Term.Ordinal()-endOrd, c.horizon); hz <= c.horizon; hz++ {
-			vec[1+hz] = 1
-		}
+		foldVec(vec, clampHz(st.Term.Ordinal()-endOrd, c.horizon), 1, 1)
 	case classDeadline:
 		e.notePaths(1)
-		vec[0] = 1
+		foldVec(vec, 0, 1, 0)
 	case classPruned:
 		// zeros
 	case classExpand:
-		c.scratch(depth)
 		next := st.Term.Next()
-		ord := int32(next.Ordinal())
 		goalFrom := clampHz(next.Ordinal()-endOrd, c.horizon)
 		lastLevel := !next.Before(e.end)
 		if lastLevel {
@@ -337,21 +323,18 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 					return nil, errStopRun
 				}
 				e.notePaths(sel)
-				vec[0] = sel
-				for hz := goalFrom; hz <= c.horizon; hz++ {
-					vec[1+hz] = goalSel
-				}
+				foldVec(vec, goalFrom, sel, goalSel)
 				break
 			}
 		}
 		childless := true
-		e.selScratch = c.wscr[depth]
+		e.selScratch = &f.sel
 		err := e.selections(st, minTake, func(sel bitset.Set) error {
 			if e.ctl.interrupted() {
 				return errStopRun
 			}
 			childless = false
-			u := c.uscr[depth]
+			u := &f.child
 			u.CopyFrom(st.Completed)
 			u.UnionInPlace(sel)
 			// Terminal children fold at the edge, exactly as counting does:
@@ -359,30 +342,27 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 			// interned.
 			if e.goal.Satisfied(*u) {
 				e.notePaths(1)
-				vec[0] = satAdd(vec[0], 1)
-				for hz := goalFrom; hz <= c.horizon; hz++ {
-					vec[1+hz] = satAdd(vec[1+hz], 1)
-				}
+				foldVec(vec, goalFrom, 1, 1)
 				return nil
 			}
 			if lastLevel {
 				e.notePaths(1)
-				vec[0] = satAdd(vec[0], 1)
+				foldVec(vec, 0, 1, 0)
 				return nil
 			}
-			ck := status.MapKey{Ord: ord, Set: u.CompactKey()}
-			chash := dagHash(ck)
-			if n := c.tab.lookup(chash, ck); n != nil {
+			key, kids := u.Words(), &c.levels[c.lastOrd-next.Ordinal()]
+			ch := hashWords(key)
+			j, slot := kids.lookup(ch, key)
+			if j >= 0 {
 				c.reusedN++
-				addVec(vec, n.vec)
+				addVec(vec, kids.rec(j))
 				return nil
 			}
-			x := e.arena.Union(st.Completed, sel)
-			cst := status.Status{Term: next, Completed: x, Options: e.cat.OptionsArena(&e.arena, x, next)}
-			cv, err := c.build(ctx, chash, ck, cst, depth+1)
+			cst := status.Status{Term: next, Completed: *u, Options: e.cat.OptionsInto(&f.opts, *u, next)}
+			cv, err := c.build(ctx, kids, slot, ch, cst, depth+1)
 			// The recursion repointed selScratch at its own depth's set;
 			// restore ours before selections hands out the next sel.
-			e.selScratch = c.wscr[depth]
+			e.selScratch = &f.sel
 			if err != nil {
 				return err
 			}
@@ -396,20 +376,30 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 			// Natural dead end: a generated maximal path that reaches no
 			// goal under any deadline.
 			e.notePaths(1)
-			vec[0] = 1
+			foldVec(vec, 0, 1, 0)
 		}
 	}
 
 	c.newN++
-	n := c.slab.alloc()
-	n.vec = vec
-	c.tab.insert(h, key, n)
+	s.addRecord(at, h, vec, st.Completed.Words())
+	c.n++
 	return vec, nil
 }
 
-func addVec(dst, src []int64) {
-	for i, v := range src {
-		dst[i] = satAdd(dst[i], v)
+// foldVec adds paths to a tally vector's total and goal to its goal
+// buckets from horizon from on, saturating.
+func foldVec(vec []uint64, from int, paths, goal int64) {
+	vec[0] = uint64(satAdd(int64(vec[0]), paths))
+	for i := 1 + from; i < len(vec); i++ {
+		vec[i] = uint64(satAdd(int64(vec[i]), goal))
+	}
+}
+
+// addVec adds a child's tally vector (or its record, which starts with
+// one) into dst, saturating.
+func addVec(dst, src []uint64) {
+	for i := range dst {
+		dst[i] = uint64(satAdd(int64(dst[i]), int64(src[i])))
 	}
 }
 

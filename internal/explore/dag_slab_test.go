@@ -13,16 +13,16 @@ import (
 // dagChunk and then stay there; every handed-out pointer stays valid
 // across the growth, and the chunks list the nodes in creation order.
 func TestNodeSlabGrowthKeepsPointers(t *testing.T) {
-	var s nodeSlabOf[int64]
+	var s nodeSlab
 	const n = 3*dagChunk + 77
-	ptrs := make([]*int64, n)
+	ptrs := make([]*dagNode, n)
 	for i := range ptrs {
 		ptrs[i] = s.alloc()
-		*ptrs[i] = int64(i)
+		ptrs[i].minTake = int32(i)
 	}
 	for i, p := range ptrs {
-		if *p != int64(i) {
-			t.Fatalf("node %d reads %d after growth", i, *p)
+		if p.minTake != int32(i) {
+			t.Fatalf("node %d reads %d after growth", i, p.minTake)
 		}
 	}
 	want, i := dagChunkMin, 0
