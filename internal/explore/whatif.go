@@ -193,12 +193,13 @@ func whatIfDAG(ctx context.Context, cat *catalog.Catalog, start status.Status, e
 	if stopped != "" {
 		return stopped, nil
 	}
+	var tally [1]int64 // each answer's goal tally, read before the next
 	for i := range cands {
 		c := &cands[i]
 		if c.child.Term.IsZero() {
 			continue
 		}
-		counts, err := sc.Counts(ctx, c.child)
+		counts, err := sc.countsInto(ctx, c.child, tally[:])
 		if err != nil {
 			if r := e.ctl.haltReason(); r != "" {
 				return r, nil
