@@ -381,6 +381,27 @@ type serverPlanner struct {
 
 	mu    sync.Mutex // guards goals: the parallel pipeline shares the planner
 	goals map[*coursenav.Navigator]coursenav.Goal
+
+	keysOnce   sync.Once // derives scenKey and sampleKeys (see keys)
+	scenKey    string
+	sampleKeys []string
+}
+
+// keys returns the endpoint-space suffixes of the scenario and of each
+// sample, derived once per job: a digest is a reflective JSON encode and
+// a SHA-256, and every unit asks for one. An empty scenario has no
+// suffix, so its units share the base spaces.
+func (p *serverPlanner) keys() (string, []string) {
+	p.keysOnce.Do(func() {
+		if !p.scenario.Empty() {
+			p.scenKey = "|cohort:" + p.scenario.Digest()
+		}
+		p.sampleKeys = make([]string, len(p.sampleNavs))
+		for i := range p.sampleKeys {
+			p.sampleKeys[i] = "|cohort:" + p.scenario.SampleKey(i)
+		}
+	})
+	return p.scenKey, p.sampleKeys
 }
 
 // variant resolves a cohort variant to its navigator and endpoint key
@@ -390,15 +411,14 @@ func (p *serverPlanner) variant(v cohort.Variant, kind string) (*coursenav.Navig
 	case cohort.KindBase:
 		return p.baseNav, kind, nil
 	case cohort.KindScenario:
-		if p.scenario.Empty() {
-			return p.scenNav, kind, nil
-		}
-		return p.scenNav, kind + "|cohort:" + p.scenario.Digest(), nil
+		scenKey, _ := p.keys()
+		return p.scenNav, kind + scenKey, nil
 	case cohort.KindSample:
 		if v.Sample < 0 || v.Sample >= len(p.sampleNavs) {
 			return nil, "", fmt.Errorf("cohort: sample %d out of range", v.Sample)
 		}
-		return p.sampleNavs[v.Sample], kind + "|cohort:" + p.scenario.SampleKey(v.Sample), nil
+		_, sampleKeys := p.keys()
+		return p.sampleNavs[v.Sample], kind + sampleKeys[v.Sample], nil
 	}
 	return nil, "", fmt.Errorf("cohort: unknown variant kind %d", v.Kind)
 }
