@@ -155,23 +155,29 @@ func TestTreeDAGEquivalenceRandom(t *testing.T) {
 
 // TestTreeDAGWhatIfEquivalence: the shared-DAG what-if engine delivers
 // exactly the per-candidate deltas the per-candidate tree counts do, on
-// randomized catalogs, under both pruners and a parallel build pool.
+// randomized catalogs from a status offering two or more options (so
+// candidates' subtrees share statuses), under both pruners and a
+// parallel build pool.
 func TestTreeDAGWhatIfEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rc := newRandomCase(t, seed)
 		pruners := PaperPruners(rc.cat, rc.req, rc.opt.MaxPerTerm)
+		st := rc.whatIfStatus(t)
 		topt := rc.opt
 		topt.Substrate = SubstrateTree
 		tree, stopped, err := CompareSelectionsCtx(context.Background(),
-			rc.cat, rc.startStatus(), rc.end, rc.req, pruners, topt)
+			rc.cat, st, rc.end, rc.req, pruners, topt)
 		if err != nil || stopped != "" {
 			t.Fatalf("seed %d: tree what-if err=%v stopped=%q", seed, err, stopped)
+		}
+		if len(tree) < 2 {
+			t.Fatalf("seed %d: %d candidates, want two or more", seed, len(tree))
 		}
 		for _, workers := range []int{1, 4} {
 			dopt := dagOpt(rc.opt)
 			dopt.Workers = workers
 			dag, stopped, err := CompareSelectionsCtx(context.Background(),
-				rc.cat, rc.startStatus(), rc.end, rc.req, pruners, dopt)
+				rc.cat, st, rc.end, rc.req, pruners, dopt)
 			if err != nil || stopped != "" {
 				t.Fatalf("seed %d: dag what-if err=%v stopped=%q", seed, err, stopped)
 			}

@@ -54,6 +54,35 @@ func (rc randomCase) startStatus() status.Status {
 	return status.New(rc.cat, rc.start, bitset.New(rc.cat.Len()))
 }
 
+// whatIfStatus returns a status offering at least two options, two
+// semesters or more before rc's end, for the what-if oracles: startStatus
+// offers 0 or 1 on these catalogs, so its what-if compares one candidate
+// or none. Like memberPositions' statuses it need not be reachable. Each
+// semester from rc.start is tried with nothing completed, then with every
+// course whose prerequisites that satisfies, and so on layer by layer.
+func (rc randomCase) whatIfStatus(t *testing.T) status.Status {
+	t.Helper()
+	for tm := rc.start; !tm.Add(2).After(rc.end); tm = tm.Next() {
+		for x := bitset.New(rc.cat.Len()); ; {
+			if st := status.New(rc.cat, tm, x); st.Options.Len() >= 2 {
+				return st
+			}
+			next := x.Clone()
+			for i := 0; i < rc.cat.Len(); i++ {
+				if rc.cat.PrereqSatisfied(i, x) {
+					next.Add(i)
+				}
+			}
+			if next.Equal(x) {
+				break
+			}
+			x = next
+		}
+	}
+	t.Fatalf("no status two semesters before %v offers two options", rc.end)
+	return status.Status{}
+}
+
 // TestRandomCatalogInvariants exercises the cross-algorithm invariants on
 // 25 random catalogs: Lemma 1 (pruning preserves goal paths), counting ==
 // materialising, and merge-ablation count equality.

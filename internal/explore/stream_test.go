@@ -327,12 +327,16 @@ func TestRankedStreamOrderAndParity(t *testing.T) {
 func TestWhatIfStreamParity(t *testing.T) {
 	rc := newRandomCase(t, 6)
 	pruners := PaperPruners(rc.cat, rc.req, rc.opt.MaxPerTerm)
-	sorted, stopped, err := CompareSelectionsCtx(context.Background(), rc.cat, rc.startStatus(), rc.end, rc.req, pruners, rc.opt)
+	st := rc.whatIfStatus(t)
+	sorted, stopped, err := CompareSelectionsCtx(context.Background(), rc.cat, st, rc.end, rc.req, pruners, rc.opt)
 	if err != nil || stopped != "" {
 		t.Fatalf("CompareSelectionsCtx: stopped=%q err=%v", stopped, err)
 	}
+	if len(sorted) < 2 {
+		t.Fatalf("%d candidates, want two or more", len(sorted))
+	}
 	var streamed []SelectionImpact
-	stopped, err = CompareSelectionsStream(context.Background(), rc.cat, rc.startStatus(), rc.end, rc.req, pruners, rc.opt, func(im SelectionImpact) error {
+	stopped, err = CompareSelectionsStream(context.Background(), rc.cat, st, rc.end, rc.req, pruners, rc.opt, func(im SelectionImpact) error {
 		streamed = append(streamed, im)
 		return nil
 	})
@@ -357,7 +361,7 @@ func TestWhatIfStreamParity(t *testing.T) {
 	}
 
 	n := 0
-	stopped, err = CompareSelectionsStream(context.Background(), rc.cat, rc.startStatus(), rc.end, rc.req, pruners, rc.opt, func(SelectionImpact) error {
+	stopped, err = CompareSelectionsStream(context.Background(), rc.cat, st, rc.end, rc.req, pruners, rc.opt, func(SelectionImpact) error {
 		n++
 		return ErrStopEmit
 	})
