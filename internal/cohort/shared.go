@@ -39,7 +39,7 @@ type SharedPlanner struct {
 	// overrides Query.End.
 	Query coursenav.Query
 	// MaxStatuses bounds each counter's interned statuses (0 = the
-	// engine default, ~1M statuses ≈ 200 MB); over budget a counter
+	// engine default, ~1M statuses ≈ 50–100 MB); over budget a counter
 	// answers, then evicts wholesale.
 	MaxStatuses int64
 	// Unit, when set, threads each counting unit's substrate execution
