@@ -69,13 +69,15 @@ chaos-short:
 		-run 'Chaos|Queue|Shed|Brownout|Degraded|Breaker|Stale|Healthz|StatsOverload|OverloadMix|ShutdownUnderLoad' \
 		./internal/server/
 
-# The batch-simulation gate: the scenario/cohort engine plus the cohort
+# The batch-simulation gate: the scenario/cohort engine, the cohort
 # endpoint's streaming, cancellation, coalescing and cohort-of-1
-# equivalence tests, under the race detector. CI uploads the log on
-# failure.
+# equivalence tests, a cohort unit leading and following an HTTP request
+# (LeaderFailure), and the CLI's cohort command held to the endpoint,
+# under the race detector. CI uploads the log on failure.
 cohort-short:
 	$(GO) test -race -timeout 120s ./internal/cohort/
-	$(GO) test -race -timeout 120s -run 'Cohort|WhatIf' ./internal/server/
+	$(GO) test -race -timeout 120s -run 'Cohort|WhatIf|LeaderFailure' ./internal/server/
+	$(GO) test -race -timeout 120s -run Cohort ./cmd/coursenav/
 
 # Bounded fuzz smoke over the ingestion parsers (grammar round-trip,
 # prerequisite extraction, lenient/strict differential, the differential

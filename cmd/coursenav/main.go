@@ -636,8 +636,9 @@ func parseChanges(s string) ([]cohort.Change, error) {
 
 // cmdCohort replans a whole cohort against a catalog scenario — the
 // batch form of whatif. Members come from a transcript file or are
-// synthesized from a seed; each is replanned through the same engine a
-// single-student query uses, with identical sub-requests memoised.
+// synthesized from a seed; every member is counted on one shared DAG +
+// tally memo per catalog variant, and detail replans run the same
+// what-if a single-student query does.
 func (a *app) cmdCohort(args []string) error {
 	fs := flag.NewFlagSet("cohort", flag.ContinueOnError)
 	start := fs.String("start", "", "synthesis window start, e.g. \"Fall 2013\" (with -synthesize)")
@@ -658,7 +659,6 @@ func (a *app) cmdCohort(args []string) error {
 	detail := fs.Bool("detail", false, "embed each member's what-if replan in the NDJSON records")
 	ndjson := fs.Bool("ndjson", false, "emit the API's NDJSON records instead of the table")
 	workers := fs.Int("workers", 1, "member-pipeline width (records stay in member order; output is identical at any width)")
-	shared := fs.Bool("shared", true, "count on the cross-member shared DAG substrate (false = dedicated run per unit)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -767,32 +767,15 @@ func (a *app) cmdCohort(args []string) error {
 		}
 	}
 
-	np := &cohort.NavPlanner{
-		Base:       a.nav,
-		Scenario:   scenNav,
-		Samples:    sampleNavs,
-		MakeGoal:   makeGoal,
-		MaxPerTerm: *m,
-	}
-	var planner cohort.Planner = np
-	var sp *cohort.SharedPlanner
-	if *shared {
-		// Counting units run on one interned DAG + tally memo per catalog
-		// variant, shared across all members; replans keep the dedicated
-		// path. Identical results either way — -shared=false is the
-		// apples-to-apples comparison switch.
-		sp = &cohort.SharedPlanner{
-			Inner:    np,
-			Base:     a.nav,
-			Scenario: scenNav,
-			Samples:  sampleNavs,
-			MakeGoal: makeGoal,
-			Query:    coursenav.Query{MaxPerTerm: *m},
-		}
-		planner = sp
+	sp := &cohort.SharedPlanner{
+		Base:     a.nav,
+		Scenario: scenNav,
+		Samples:  sampleNavs,
+		MakeGoal: makeGoal,
+		Query:    coursenav.Query{MaxPerTerm: *m},
 	}
 	runner := cohort.Runner{
-		Planner: planner,
+		Planner: sp,
 		Opts: cohort.Options{
 			End:      *end,
 			Horizon:  *horizon,
@@ -839,11 +822,9 @@ func (a *app) cmdCohort(args []string) error {
 	}
 	fmt.Printf("members=%d affected=%d delayed=%d stranded=%d errors=%d meanDelay=%.2f units=%d reused=%d\n",
 		sum.Members, sum.Affected, sum.Delayed, sum.Stranded, sum.Errors, sum.MeanDelay, sum.Units, sum.Coalesced)
-	if sp != nil {
-		st := sp.Stats()
-		fmt.Printf("substrate: statuses=%d hits=%d dpReused=%d builds=%d evictions=%d\n",
-			st.Statuses, st.Hits, st.DPReused, st.Builds, st.Evictions)
-	}
+	st := sp.Stats()
+	fmt.Printf("substrate: statuses=%d hits=%d dpReused=%d builds=%d evictions=%d\n",
+		st.Statuses, st.Hits, st.DPReused, st.Builds, st.Evictions)
 	return nil
 }
 

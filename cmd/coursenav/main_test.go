@@ -1,10 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro"
+	"repro/internal/server"
 )
 
 // run executes the CLI in-process; stdout noise is acceptable in tests —
@@ -33,7 +40,10 @@ func TestRunErrors(t *testing.T) {
 		{"plan", "-file", "/no/such/file"},
 		{"audit", "-completed", "NOPE"},
 		{"audit", "-now", "nope"},
-		{"whatif", "-start", "Fall 2013", "-end", "Fall 2015"}, // no goal
+		{"whatif", "-start", "Fall 2013", "-end", "Fall 2015"},          // no goal
+		{"cohort", "-synthesize", "5", "-start", "Fall 2013", "-major"}, // no -end
+		{"cohort", "-end", "Fall 2015", "-transcripts", "/no/such/file",
+			"-synthesize", "5", "-start", "Fall 2013", "-major"}, // two member sources
 	}
 	for _, args := range cases {
 		if err := runCLI(t, args...); err == nil {
@@ -197,5 +207,77 @@ func TestRunImpactSubcommand(t *testing.T) {
 	if err := runCLI(t, "impact", "-old", "/no/file", "-new", newPath,
 		"-goal-courses", "CS 1A", "-start", "Fall 2013", "-end", "Fall 2014"); err == nil {
 		t.Error("missing old file accepted")
+	}
+}
+
+// TestRunCohortMatchesServer: the CLI's cohort command and POST
+// /api/v1/cohort answer the same job with the same member records,
+// record for record. The scenario delays its members, so records carry
+// probe results, baselines and replans: the CLI's direct replan is held
+// to the server's pipeline replan.
+func TestRunCohortMatchesServer(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "cohort.ndjson")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = f
+	err = runCLI(t, "cohort", "-synthesize", "24", "-member-seed", "3",
+		"-start", "Fall 2013", "-end", "Spring 2015", "-m", "3",
+		"-goal-courses", "COSI 21A,COSI 29A", "-cancel", "COSI 21A@Spring 2014|Fall 2014",
+		"-baseline", "-detail", "-horizon", "2", "-ndjson")
+	os.Stdout = old
+	f.Close()
+	if err != nil {
+		t.Fatalf("cohort: %v", err)
+	}
+	cli, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nav, _ := coursenav.Brandeis()
+	ts := httptest.NewServer(server.New(nav))
+	t.Cleanup(ts.Close)
+	resp, err := http.Post(ts.URL+"/api/v1/cohort", "application/json", strings.NewReader(`{
+		"scenario":{"cancel":[{"course":"COSI 21A","terms":["Spring 2014","Fall 2014"]}]},
+		"synthesize":{"n":24,"seed":3},
+		"query":{"start":"Fall 2013","end":"Spring 2015","maxPerTerm":3},
+		"goal":{"courses":["COSI 21A","COSI 29A"]},
+		"baseline":true,"detail":true,"horizon":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	api, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /api/v1/cohort: %d %s (%v)", resp.StatusCode, api, err)
+	}
+
+	members := func(body []byte) [][]byte {
+		var out [][]byte
+		for _, line := range bytes.SplitAfter(body, []byte("\n")) {
+			if bytes.HasPrefix(line, []byte(`{"member":`)) {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	cm, am := members(cli), members(api)
+	if len(cm) != 24 || len(am) != 24 {
+		t.Fatalf("member records: CLI %d, API %d, want 24 each", len(cm), len(am))
+	}
+	delayed := 0
+	for i := range cm {
+		if !bytes.Equal(cm[i], am[i]) {
+			t.Errorf("member %d differs:\ncli: %s api: %s", i, cm[i], am[i])
+		}
+		if bytes.Contains(cm[i], []byte(`"replan":{"selections":`)) && !bytes.Contains(cm[i], []byte(`"delay":0`)) {
+			delayed++
+		}
+	}
+	if delayed == 0 {
+		t.Error("no delayed member with a replan: the scenario does not exercise the probe")
 	}
 }

@@ -223,13 +223,13 @@ Spring 2014: COSI 12B
 	}
 }
 
-func navPlanner(nav *coursenav.Navigator, scen *coursenav.Navigator, samples []*coursenav.Navigator) *NavPlanner {
-	return &NavPlanner{
-		Base:       nav,
-		Scenario:   scen,
-		Samples:    samples,
-		MakeGoal:   func(n *coursenav.Navigator) (coursenav.Goal, error) { return n.BrandeisMajor() },
-		MaxPerTerm: 3,
+func sharedPlanner(nav *coursenav.Navigator, scen *coursenav.Navigator, samples []*coursenav.Navigator) *SharedPlanner {
+	return &SharedPlanner{
+		Base:     nav,
+		Scenario: scen,
+		Samples:  samples,
+		MakeGoal: func(n *coursenav.Navigator) (coursenav.Goal, error) { return n.BrandeisMajor() },
+		Query:    coursenav.Query{MaxPerTerm: 3},
 	}
 }
 
@@ -244,10 +244,11 @@ func TestRunnerBaselineDelayAndMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	member := Member{Student: "S1", Completed: []string{"COSI 11A", "COSI 12B"}, Start: "Spring 2014"}
-	// Duplicate positions must be served from the planner memo.
+	// Duplicate positions must be root hits on the shared counters.
 	members := []Member{member, member, {Student: "S3", Completed: member.Completed, Start: member.Start}}
+	p := sharedPlanner(nav, coursenav.NewFromCatalog(scenCat), nil)
 	r := Runner{
-		Planner: navPlanner(nav, coursenav.NewFromCatalog(scenCat), nil),
+		Planner: p,
 		Opts:    Options{End: "Fall 2015", Baseline: true},
 	}
 	var recs []MemberRecord
@@ -264,8 +265,8 @@ func TestRunnerBaselineDelayAndMemo(t *testing.T) {
 	if sum.Errors != 0 {
 		t.Fatalf("errors = %d: %+v", sum.Errors, recs)
 	}
-	if sum.Coalesced == 0 {
-		t.Fatal("duplicate members did not reuse the memo")
+	if hits := p.Stats().Hits; hits != sum.Units*2/3 {
+		t.Fatalf("%d root hits over %d units, want every unit of the two repeated members", hits, sum.Units)
 	}
 	for i, rec := range recs {
 		if rec.Baseline == nil {
@@ -292,7 +293,7 @@ func TestRunnerStranded(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := Runner{
-		Planner: navPlanner(nav, coursenav.NewFromCatalog(scenCat), nil),
+		Planner: sharedPlanner(nav, coursenav.NewFromCatalog(scenCat), nil),
 		Opts:    Options{End: "Fall 2015", Horizon: 2},
 	}
 	sum, err := r.Run(context.Background(), []Member{{Student: "S1", Start: "Fall 2013"}}, func(MemberRecord) error { return nil })
@@ -312,7 +313,7 @@ func TestRunnerCancellationAborts(t *testing.T) {
 		members[i] = Member{Student: "S", Start: "Fall 2013"}
 	}
 	r := Runner{
-		Planner: navPlanner(nav, nav, nil),
+		Planner: sharedPlanner(nav, nav, nil),
 		Opts:    Options{End: "Fall 2015"},
 	}
 	emitted := 0
@@ -334,7 +335,7 @@ func TestRunnerCancellationAborts(t *testing.T) {
 func TestRunnerDetailReplanBody(t *testing.T) {
 	nav, _ := brandeis(t)
 	r := Runner{
-		Planner: navPlanner(nav, nav, nil),
+		Planner: sharedPlanner(nav, nav, nil),
 		Opts:    Options{End: "Fall 2015", Detail: true},
 	}
 	var rec MemberRecord

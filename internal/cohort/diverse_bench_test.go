@@ -3,8 +3,8 @@ package cohort_test
 // Diverse-cohort measurement harness behind the EXPERIMENTS.md
 // shared-substrate numbers. The synthetic catalog is deliberately
 // choice-rich (every mid-tier course has an or-prereq) so a cohort's
-// members hold genuinely distinct positions: the regime where the
-// dedicated planner rebuilds a DAG per member and the shared
+// members hold genuinely distinct positions: the regime where a
+// per-unit count would rebuild a DAG per member and the shared
 // substrate amortises across them. Member synthesis costs ~60 s per
 // 1000 students, so these benchmarks are not part of the bench gate —
 // run them explicitly with -benchtime 1x.
@@ -143,7 +143,7 @@ func diverseMembers(tb testing.TB, nav *coursenav.Navigator) []cohort.Member {
 	return members
 }
 
-func runDiverse(b *testing.B, shared bool, workers int) {
+func runDiverse(b *testing.B, workers int) {
 	nav := buildDiverseNav(b)
 	sc := cohort.Scenario{Cancel: []cohort.Change{{Course: "CS 400", Terms: []string{"Spring 2015", "Fall 2015"}}}}
 	scenCat, err := sc.Apply(nav.Catalog())
@@ -157,11 +157,7 @@ func runDiverse(b *testing.B, shared bool, workers int) {
 	members := diverseMembers(b, nav)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		np := &cohort.NavPlanner{Base: nav, Scenario: scen, MakeGoal: makeGoal, MaxPerTerm: 3}
-		var pl cohort.Planner = np
-		if shared {
-			pl = &cohort.SharedPlanner{Inner: np, Base: nav, Scenario: scen, MakeGoal: makeGoal, Query: coursenav.Query{MaxPerTerm: 3}}
-		}
+		pl := &cohort.SharedPlanner{Base: nav, Scenario: scen, MakeGoal: makeGoal, Query: coursenav.Query{MaxPerTerm: 3}}
 		r := &cohort.Runner{Planner: pl, Opts: cohort.Options{End: "Fall 2015", Horizon: 4, Baseline: true, Workers: workers}}
 		if _, err := r.Run(context.Background(), members, func(cohort.MemberRecord) error { return nil }); err != nil {
 			b.Fatal(err)
@@ -169,6 +165,5 @@ func runDiverse(b *testing.B, shared bool, workers int) {
 	}
 }
 
-func BenchmarkDiverseDedicated(b *testing.B) { runDiverse(b, false, 1) }
-func BenchmarkDiverseShared(b *testing.B)    { runDiverse(b, true, 1) }
-func BenchmarkDiverseShared4(b *testing.B)   { runDiverse(b, true, 4) }
+func BenchmarkDiverseShared(b *testing.B)  { runDiverse(b, 1) }
+func BenchmarkDiverseShared4(b *testing.B) { runDiverse(b, 4) }

@@ -5,63 +5,72 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro"
 	"repro/internal/term"
 )
 
-// TestPlannerMemoKeyCanonical pins the memo-key canonicalisation:
-// permuted, duplicated or alias spellings of the same completed set
-// describe the same position and must hit the same memo entry. (A raw
-// strings.Join over the input slice would key them apart.)
+// TestPlannerMemoKeyCanonical pins the shared counters' position
+// identity: permuted or duplicated spellings of the same completed set
+// describe the same position, so they must be root hits on the counter
+// with equal counts, while a different position is not a hit.
 func TestPlannerMemoKeyCanonical(t *testing.T) {
 	nav, _ := brandeis(t)
-	p := navPlanner(nav, nav, nil)
+	p := sharedPlanner(nav, nav, nil)
 	ctx := context.Background()
+	hits := func() int64 { return p.Stats().Hits }
 	first := Member{Student: "A", Completed: []string{"COSI 11A", "COSI 12B"}, Start: "Fall 2014"}
 	c1, err := p.Count(ctx, first, "Fall 2015", Variant{Kind: KindScenario})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.Reused {
-		t.Fatal("first count claims reuse")
+	if hits() != 0 {
+		t.Fatal("first count is a root hit")
 	}
 	variants := []Member{
 		{Student: "B", Completed: []string{"COSI 12B", "COSI 11A"}, Start: "Fall 2014"},
 		{Student: "C", Completed: []string{"COSI 11A", "COSI 12B", "COSI 11A"}, Start: "Fall 2014"},
 	}
 	for _, m := range variants {
+		before := hits()
 		c, err := p.Count(ctx, m, "Fall 2015", Variant{Kind: KindScenario})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !c.Reused {
-			t.Errorf("member %s (%v) missed the memo for an equal position", m.Student, m.Completed)
+		if hits() != before+1 {
+			t.Errorf("member %s (%v) missed the counter's root for an equal position", m.Student, m.Completed)
 		}
 		if c.GoalPaths != c1.GoalPaths {
 			t.Errorf("member %s: %d paths, want %d", m.Student, c.GoalPaths, c1.GoalPaths)
 		}
 	}
-	// Same canonicalisation on the multi-deadline memo.
-	if _, err := p.CountHorizons(ctx, first, "Fall 2015", 2, Variant{Kind: KindScenario}); err != nil {
+	// Same identity on the multi-deadline counter.
+	h1, err := p.CountHorizons(ctx, first, "Fall 2015", 2, Variant{Kind: KindScenario})
+	if err != nil {
 		t.Fatal(err)
 	}
+	before := hits()
 	hc, err := p.CountHorizons(ctx, variants[0], "Fall 2015", 2, Variant{Kind: KindScenario})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hc.Reused {
-		t.Error("permuted completed set missed the multi-deadline memo")
+	if hits() != before+1 {
+		t.Error("permuted completed set missed the multi-deadline counter's root")
+	}
+	if !reflect.DeepEqual(hc.GoalPaths, h1.GoalPaths) {
+		t.Errorf("permuted completed set: %v paths, want %v", hc.GoalPaths, h1.GoalPaths)
 	}
 	// Different positions must NOT collapse onto one entry.
-	other, err := p.Count(ctx, Member{Student: "D", Completed: []string{"COSI 11A"}, Start: "Fall 2014"}, "Fall 2015", Variant{Kind: KindScenario})
-	if err != nil {
+	before = hits()
+	if _, err := p.Count(ctx, Member{Student: "D", Completed: []string{"COSI 11A"}, Start: "Fall 2014"}, "Fall 2015", Variant{Kind: KindScenario}); err != nil {
 		t.Fatal(err)
 	}
-	if other.Reused {
-		t.Error("a different position hit the memo")
+	if hits() != before {
+		t.Error("a different position hit the counter's root")
 	}
 }
 
@@ -86,8 +95,8 @@ func (p *probePlanner) Replan(context.Context, Member, string) (Replan, error) {
 }
 
 // TestProbeFailureDoesNotStrand is the probe-error regression: a failed
-// or budget-clamped delay probe proves nothing about the member, so the
-// record must carry the error (or the clamp) and NOT a stranded verdict.
+// delay probe proves nothing about the member, so the record must carry
+// the error and NOT a stranded verdict.
 // It also pins the probe's cost: exactly one counting unit per stranded
 // member, not one per deadline.
 func TestProbeFailureDoesNotStrand(t *testing.T) {
@@ -117,17 +126,6 @@ func TestProbeFailureDoesNotStrand(t *testing.T) {
 		t.Errorf("probe issued %d multi-deadline units, want 1", failing.probes)
 	}
 
-	clamped := &probePlanner{horizons: func() (HorizonCounts, error) {
-		return HorizonCounts{GoalPaths: []int64{0, 0, 0, 0}, Stopped: "max-nodes"}, nil
-	}}
-	rec, sum = run(clamped)
-	if rec.Stranded || sum.Stranded != 0 {
-		t.Errorf("clamped probe stranded the member: %+v", rec)
-	}
-	if rec.Error != "" {
-		t.Errorf("clamped probe is not an error: %+v", rec)
-	}
-
 	stranded := &probePlanner{horizons: func() (HorizonCounts, error) {
 		return HorizonCounts{GoalPaths: []int64{0, 0, 0, 0}}, nil
 	}}
@@ -145,10 +143,77 @@ func TestProbeFailureDoesNotStrand(t *testing.T) {
 	}
 }
 
+// refPlanner is the per-unit reference the shared planner is held to:
+// every unit is one façade call on the variant's navigator
+// (GoalPathsCountCtx, GoalPathsCountHorizonsCtx or CompareSelectionsCtx),
+// and nothing is memoised.
+type refPlanner struct {
+	base, scen *coursenav.Navigator
+	makeGoal   func(*coursenav.Navigator) (coursenav.Goal, error)
+	maxPerTerm int
+}
+
+func (p *refPlanner) goal(v Variant) (*coursenav.Navigator, coursenav.Goal, error) {
+	nav := p.scen
+	switch v.Kind {
+	case KindScenario:
+	case KindBase:
+		nav = p.base
+	default:
+		return nil, coursenav.Goal{}, fmt.Errorf("reference planner: no variant %+v", v)
+	}
+	g, err := p.makeGoal(nav)
+	return nav, g, err
+}
+
+func (p *refPlanner) query(m Member, end string) coursenav.Query {
+	return coursenav.Query{Completed: m.Completed, Start: m.Start, End: end, MaxPerTerm: p.maxPerTerm}
+}
+
+func (p *refPlanner) Count(ctx context.Context, m Member, end string, v Variant) (CountResult, error) {
+	nav, g, err := p.goal(v)
+	if err != nil {
+		return CountResult{}, err
+	}
+	sum, err := nav.GoalPathsCountCtx(ctx, p.query(m, end), g)
+	if err == nil && sum.Stopped != "" {
+		err = fmt.Errorf("reference count stopped: %s", sum.Stopped)
+	}
+	return CountResult{GoalPaths: sum.GoalPaths}, err
+}
+
+func (p *refPlanner) CountHorizons(ctx context.Context, m Member, end string, horizon int, v Variant) (HorizonCounts, error) {
+	nav, g, err := p.goal(v)
+	if err != nil {
+		return HorizonCounts{}, err
+	}
+	gp, sum, err := nav.GoalPathsCountHorizonsCtx(ctx, p.query(m, end), g, horizon)
+	if err == nil && sum.Stopped != "" {
+		err = fmt.Errorf("reference count stopped: %s", sum.Stopped)
+	}
+	return HorizonCounts{GoalPaths: gp}, err
+}
+
+func (p *refPlanner) Replan(ctx context.Context, m Member, end string) (Replan, error) {
+	_, g, err := p.goal(Variant{Kind: KindScenario})
+	if err != nil {
+		return Replan{}, err
+	}
+	impacts, stopped, err := p.scen.CompareSelectionsCtx(ctx, p.query(m, end), g)
+	if err != nil {
+		return Replan{}, err
+	}
+	body, err := json.Marshal(struct {
+		Selections []coursenav.SelectionImpact `json:"selections"`
+		Stopped    string                      `json:"stopped,omitempty"`
+	}{impacts, stopped})
+	return Replan{Body: body}, err
+}
+
 // testCohort synthesizes a deterministic mixed cohort (on-time, delayed
 // and stranded members) against a scenario cancelling COSI 21A for two
-// semesters.
-func testCohort(t *testing.T, n int) (*NavPlanner, *SharedPlanner, []Member) {
+// semesters, with the per-unit reference and a shared planner over it.
+func testCohort(t *testing.T, n int) (*refPlanner, *SharedPlanner, []Member) {
 	t.Helper()
 	nav, major := brandeis(t)
 	sc := Scenario{Cancel: []Change{{Course: "COSI 21A", Terms: []string{"Spring 2014", "Fall 2014"}}}}
@@ -164,15 +229,9 @@ func testCohort(t *testing.T, n int) (*NavPlanner, *SharedPlanner, []Member) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	np := navPlanner(nav, scenNav, nil)
-	sp := &SharedPlanner{
-		Inner:    np,
-		Base:     nav,
-		Scenario: scenNav,
-		MakeGoal: np.MakeGoal,
-		Query:    coursenav.Query{MaxPerTerm: np.MaxPerTerm},
-	}
-	return np, sp, members
+	sp := sharedPlanner(nav, scenNav, nil)
+	ref := &refPlanner{base: nav, scen: scenNav, makeGoal: sp.MakeGoal, maxPerTerm: sp.Query.MaxPerTerm}
+	return ref, sp, members
 }
 
 // runNDJSON drives a runner and renders the exact NDJSON a server
@@ -216,13 +275,13 @@ func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSharedPlannerMatchesNavPlanner is the substrate-equivalence
+// TestSharedPlannerMatchesPerUnitRuns is the substrate-equivalence
 // property: member records from the shared-substrate planner are
-// byte-identical to the dedicated-run planner's (tallies, delays,
-// strandings and replan bodies all agree); only the unit-reuse
-// accounting in the summary may differ between substrates.
-func TestSharedPlannerMatchesNavPlanner(t *testing.T) {
-	np, sp, members := testCohort(t, 16)
+// byte-identical to the per-unit reference's, one façade call a unit
+// (tallies, delays, strandings and replan bodies all agree); only the
+// unit-reuse accounting in the summary may differ between planners.
+func TestSharedPlannerMatchesPerUnitRuns(t *testing.T) {
+	ref, sp, members := testCohort(t, 16)
 	opts := Options{End: "Fall 2015", Horizon: 2, Baseline: true, Detail: true}
 
 	collect := func(p Planner) ([]MemberRecord, Summary) {
@@ -237,7 +296,7 @@ func TestSharedPlannerMatchesNavPlanner(t *testing.T) {
 		}
 		return recs, sum
 	}
-	nRecs, nSum := collect(np)
+	nRecs, nSum := collect(ref)
 	sRecs, sSum := collect(sp)
 	if len(nRecs) != len(sRecs) {
 		t.Fatalf("record counts differ: %d vs %d", len(nRecs), len(sRecs))
@@ -246,7 +305,7 @@ func TestSharedPlannerMatchesNavPlanner(t *testing.T) {
 		nb, _ := json.Marshal(nRecs[i])
 		sb, _ := json.Marshal(sRecs[i])
 		if !bytes.Equal(nb, sb) {
-			t.Errorf("member %d diverged:\nnav:    %s\nshared: %s", i, nb, sb)
+			t.Errorf("member %d diverged:\nper-unit: %s\nshared:   %s", i, nb, sb)
 		}
 	}
 	if nSum.Units != sSum.Units || nSum.Members != sSum.Members ||

@@ -31,12 +31,10 @@ type Variant struct {
 }
 
 // CountResult is the outcome of one counting unit: the member's
-// goal-reaching path tally to the given deadline.
+// goal-reaching path tally to the given deadline. A count is exact; a
+// unit that cannot finish fails with an error instead.
 type CountResult struct {
 	GoalPaths int64
-	// Stopped names why the count ended early (budget clamp); the tally
-	// is then a lower bound.
-	Stopped string
 	// Reused reports the unit was served without recomputation — a
 	// result-cache hit or a flight coalesced with an identical unit.
 	Reused bool
@@ -48,9 +46,6 @@ type HorizonCounts struct {
 	// GoalPaths[d] is the goal-path count under deadline end+d semesters
 	// (d = 0 is the on-time count).
 	GoalPaths []int64
-	// Stopped names why the count ended early; the tallies are then
-	// lower bounds, so a zero entry no longer proves absence.
-	Stopped string
 	// Reused reports the unit was served without recomputation.
 	Reused bool
 }
@@ -63,13 +58,13 @@ type Replan struct {
 	Reused bool
 }
 
-// Planner executes cohort units of work. Implementations decide the
-// execution substrate: the server routes units through its cache/
-// admission pipeline, NavPlanner runs façade calls directly. A unit
-// error fails that member (recorded, the run continues) unless it is
-// the context's own cancellation, which aborts the whole run.
-// Implementations must be safe for concurrent use when the run is
-// parallel (Options.Workers > 1).
+// Planner executes cohort units of work. SharedPlanner is the one
+// implementation: it counts on shared counters and replans on the
+// façade, directly or, through its hooks, on the server's cache/
+// admission pipeline; tests script others. A unit error fails that
+// member (recorded, the run continues) unless it is the context's own
+// cancellation, which aborts the whole run. Implementations must be
+// safe for concurrent use when the run is parallel (Options.Workers > 1).
 type Planner interface {
 	// Count tallies the member's goal-reaching paths from their start
 	// through end against the variant's catalog.
@@ -136,9 +131,6 @@ type MemberRecord struct {
 	Reliability *float64 `json:"reliability,omitempty"`
 	// Replan is the member's what-if comparison body (detail runs only).
 	Replan json.RawMessage `json:"replan,omitempty"`
-	// Stopped names a budget clamp on the member's scenario count; the
-	// tallies are then lower bounds.
-	Stopped string `json:"stopped,omitempty"`
 	// Error records a failed unit (shed by admission, bad window); the
 	// member's other fields are then partial.
 	Error string `json:"error,omitempty"`
@@ -211,10 +203,13 @@ func (r *Runner) Run(ctx context.Context, members []Member, emit func(MemberReco
 	if horizon <= 0 {
 		horizon = DefaultHorizon
 	}
-	end, err := term.Parse(cal, r.Opts.End)
+	endTerm, err := term.Parse(cal, r.Opts.End)
 	if err != nil {
 		return Summary{}, fmt.Errorf("cohort: end: %v", err)
 	}
+	// Count and probe units name the deadline by its label, formatted
+	// once per run; replans keep Opts.End as given.
+	end := endTerm.Label()
 	sum := Summary{DelayHistogram: make([]int, horizon)}
 	var agg runAgg
 
@@ -259,7 +254,7 @@ func (r *Runner) admitPool(ctx context.Context, want int) int {
 	return n
 }
 
-func (r *Runner) runSerial(ctx context.Context, members []Member, emit func(MemberRecord) error, end term.Term, horizon int, sum *Summary, agg *runAgg) error {
+func (r *Runner) runSerial(ctx context.Context, members []Member, emit func(MemberRecord) error, end string, horizon int, sum *Summary, agg *runAgg) error {
 	for i := range members {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -293,7 +288,7 @@ type memberFuture struct {
 	done chan struct{}
 }
 
-func (r *Runner) runParallel(ctx context.Context, members []Member, emit func(MemberRecord) error, end term.Term, horizon, workers int, sum *Summary, agg *runAgg) error {
+func (r *Runner) runParallel(ctx context.Context, members []Member, emit func(MemberRecord) error, end string, horizon, workers int, sum *Summary, agg *runAgg) error {
 	pctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	defer wg.Wait() // after cancel (LIFO): unblock the pool, then join it
@@ -380,10 +375,11 @@ func absorb(sum *Summary, agg *runAgg, rec MemberRecord, st memberStats) {
 	}
 }
 
-// member computes one member's record. The returned error is non-nil
-// only for the context's own cancellation (the caller aborts the run);
-// unit failures land in the record's Error field instead.
-func (r *Runner) member(ctx context.Context, m Member, end term.Term, horizon int) (MemberRecord, memberStats, error) {
+// member computes one member's record against the deadline labelled
+// end. The returned error is non-nil only for the context's own
+// cancellation (the caller aborts the run); unit failures land in the
+// record's Error field instead.
+func (r *Runner) member(ctx context.Context, m Member, end string, horizon int) (MemberRecord, memberStats, error) {
 	var st memberStats
 	rec := MemberRecord{Student: m.Student}
 	fail := func(err error) {
@@ -391,8 +387,8 @@ func (r *Runner) member(ctx context.Context, m Member, end term.Term, horizon in
 			rec.Error = err.Error()
 		}
 	}
-	count := func(e term.Term, v Variant) (CountResult, bool) {
-		c, err := r.Planner.Count(ctx, m, e.Label(), v)
+	count := func(v Variant) (CountResult, bool) {
+		c, err := r.Planner.Count(ctx, m, end, v)
 		st.units++
 		if err != nil {
 			fail(err)
@@ -403,12 +399,11 @@ func (r *Runner) member(ctx context.Context, m Member, end term.Term, horizon in
 		}
 		return c, true
 	}
-	scen, ok := count(end, Variant{Kind: KindScenario})
+	scen, ok := count(Variant{Kind: KindScenario})
 	if ok {
 		rec.GoalPaths = scen.GoalPaths
-		rec.Stopped = scen.Stopped
 		if r.Opts.Baseline {
-			if base, bok := count(end, Variant{Kind: KindBase}); bok {
+			if base, bok := count(Variant{Kind: KindBase}); bok {
 				b := base.GoalPaths
 				rec.Baseline = &b
 			}
@@ -417,9 +412,9 @@ func (r *Runner) member(ctx context.Context, m Member, end term.Term, horizon in
 			// No on-time path: ONE multi-deadline unit probes every
 			// deadline in (end, end+horizon] for the first semester a
 			// path reappears; none within the horizon means the member is
-			// stranded by the scenario. A failed or clamped probe proves
-			// nothing, so stranded stays unset then.
-			hc, err := r.Planner.CountHorizons(ctx, m, end.Label(), horizon, Variant{Kind: KindScenario})
+			// stranded by the scenario. A failed probe proves nothing, so
+			// stranded stays unset then.
+			hc, err := r.Planner.CountHorizons(ctx, m, end, horizon, Variant{Kind: KindScenario})
 			st.units++
 			switch {
 			case err != nil:
@@ -434,7 +429,7 @@ func (r *Runner) member(ctx context.Context, m Member, end term.Term, horizon in
 						break
 					}
 				}
-				if rec.Delay == 0 && hc.Stopped == "" {
+				if rec.Delay == 0 {
 					rec.Stranded = true
 				}
 			}
@@ -442,7 +437,7 @@ func (r *Runner) member(ctx context.Context, m Member, end term.Term, horizon in
 		if r.Opts.Samples > 0 && rec.Error == "" {
 			reach, n := 0, 0
 			for i := 0; i < r.Opts.Samples; i++ {
-				c, sok := count(end, Variant{Kind: KindSample, Sample: i})
+				c, sok := count(Variant{Kind: KindSample, Sample: i})
 				if !sok {
 					break
 				}

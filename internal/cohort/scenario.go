@@ -9,11 +9,11 @@
 // delay distribution, stranded members).
 //
 // The package is transport-agnostic: the Runner drives a Planner
-// interface, and each Planner implementation decides how a unit of work
-// executes. internal/server's planner routes units through the serving
-// stack's unit-of-work layer (result cache, coalescing, cost-aware
-// admission); NavPlanner here runs them directly on façade navigators
-// with a local memo, for the CLI and tests.
+// interface, and SharedPlanner implements it, counting every member on
+// one shared counter per catalog variant. Run alone (the CLI), it
+// executes units directly on façade navigators; internal/server sets its
+// hooks so each unit also passes the serving stack's unit-of-work layer
+// (result cache, coalescing, cost-aware admission).
 package cohort
 
 import (

@@ -2,58 +2,65 @@ package cohort
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"repro"
 )
 
-// SharedPlanner executes counting units on a cross-member shared
-// substrate (coursenav.SharedCounter): one interned-status DAG + tally
-// memo per (catalog variant, goal, deadline, horizon), built
-// incrementally by whichever member first reaches each status and
-// answering every later member's count as a lookup or partial DP. A
-// cohort's counting cost then scales with the distinct statuses across
-// the whole cohort, not members × rebuilds.
+// SharedPlanner is the cohort Planner. Its counting units run on a
+// cross-member shared substrate (coursenav.SharedCounter): one
+// interned-status DAG + tally memo per (catalog variant, goal, deadline,
+// horizon), built incrementally by whichever member first reaches each
+// status and answering every later member's count as a lookup or partial
+// DP. A cohort's counting cost then scales with the distinct statuses
+// across the whole cohort, not members × rebuilds. Replan units score
+// the member's next-semester selections on the scenario catalog.
 //
-// Replan units (and anything else path-shaped) delegate to Inner.
 // CountResult.Reused is deliberately NOT derived from substrate hits:
 // hit attribution depends on member execution order, which a parallel
 // run does not fix, and the runner's summary must be byte-identical at
 // any worker count. Substrate reuse is reported out of band via Stats.
 // The planner is safe for concurrent use.
 type SharedPlanner struct {
-	// Inner handles Replan units; counting always runs on the substrate.
-	Inner Planner
-	// Base, Scenario and Samples are the catalog variants (same contract
-	// as NavPlanner).
+	// Base, Scenario and Samples are the catalog variants; Scenario may
+	// equal Base for an empty scenario.
 	Base     *coursenav.Navigator
 	Scenario *coursenav.Navigator
 	Samples  []*coursenav.Navigator
-	// MakeGoal builds the goal against one variant's catalog.
+	// MakeGoal builds the goal against one variant's catalog (goals are
+	// catalog-bound, so each variant needs its own).
 	MakeGoal func(*coursenav.Navigator) (coursenav.Goal, error)
 	// Query is the unit template: End and the option/constraint fields
-	// pin each counter's variant; Completed/Start are per-member and
-	// ignored. A unit's own end (the probe's extended deadlines)
-	// overrides Query.End.
+	// pin each counter's variant and shape each direct replan;
+	// Completed/Start are per-member and ignored. A unit's own end (the
+	// probe's extended deadlines) overrides Query.End.
 	Query coursenav.Query
-	// MaxStatuses bounds each counter's interned statuses (0 = the
-	// engine default, ~1M statuses ≈ 50–100 MB); over budget a counter
-	// answers, then evicts wholesale.
-	MaxStatuses int64
 	// Unit, when set, threads each counting unit's substrate execution
 	// through the serving pipeline (cache → coalesce → admission) — the
 	// server wires runUnit here so shared-substrate units stay
-	// individually priced, budgeted and cached. Nil executes directly.
+	// individually priced, time-bounded and cached. Nil executes directly.
 	Unit UnitWrapper
 	// HorizonUnit is Unit's multi-deadline counterpart for the delay
 	// probe's units. Nil executes directly.
 	HorizonUnit HorizonUnitWrapper
+	// ReplanUnit, when set, runs each replan unit in place of the direct
+	// comparison — the server wires its pipeline replan here, so what-if
+	// units share the interactive endpoint's cache, budgets and bytes.
+	ReplanUnit func(ctx context.Context, m Member, end string) (Replan, error)
 
 	mu       sync.Mutex
 	goals    map[*coursenav.Navigator]coursenav.Goal
-	counters map[string]*coursenav.SharedCounter
+	counters map[counterKey]*coursenav.SharedCounter
+}
+
+// counterKey addresses one shared counter: a catalog variant, the
+// deadline it counts to and how many semesters past it it answers.
+type counterKey struct {
+	v       Variant
+	end     string
+	horizon int
 }
 
 // SharedCount is one substrate execution's outcome, handed to the
@@ -102,53 +109,66 @@ type SharedPlannerStats struct {
 	Statuses, Builds, Evictions int64
 }
 
-func (p *SharedPlanner) nav(v Variant) (*coursenav.Navigator, string, error) {
+func (p *SharedPlanner) nav(v Variant) (*coursenav.Navigator, error) {
 	switch v.Kind {
 	case KindScenario:
-		return p.Scenario, "s", nil
+		return p.Scenario, nil
 	case KindBase:
-		return p.Base, "b", nil
+		return p.Base, nil
 	case KindSample:
 		if v.Sample < 0 || v.Sample >= len(p.Samples) {
-			return nil, "", fmt.Errorf("cohort: sample %d out of range", v.Sample)
+			return nil, fmt.Errorf("cohort: sample %d out of range", v.Sample)
 		}
-		return p.Samples[v.Sample], fmt.Sprintf("m%d", v.Sample), nil
+		return p.Samples[v.Sample], nil
 	}
-	return nil, "", fmt.Errorf("cohort: unknown variant kind %d", v.Kind)
+	return nil, fmt.Errorf("cohort: unknown variant kind %d", v.Kind)
+}
+
+// goalLocked returns nav's goal, built on first use and then shared by
+// every counter and replan on that catalog. p.mu must be held.
+func (p *SharedPlanner) goalLocked(nav *coursenav.Navigator) (coursenav.Goal, error) {
+	if g, ok := p.goals[nav]; ok {
+		return g, nil
+	}
+	g, err := p.MakeGoal(nav)
+	if err != nil {
+		return coursenav.Goal{}, err
+	}
+	if p.goals == nil {
+		p.goals = map[*coursenav.Navigator]coursenav.Goal{}
+	}
+	p.goals[nav] = g
+	return g, nil
 }
 
 // counterFor resolves (variant, end, horizon) to its shared counter,
 // creating it lazily. The horizon-extended scenario counter is a
 // separate (larger) substrate created only when the first member
 // actually strands — an all-on-time cohort never pays for it.
-func (p *SharedPlanner) counterFor(nav *coursenav.Navigator, vid, end string, horizon int) (*coursenav.SharedCounter, error) {
-	key := vid + "|" + end + "|" + strconv.Itoa(horizon)
+func (p *SharedPlanner) counterFor(v Variant, end string, horizon int) (*coursenav.SharedCounter, error) {
+	key := counterKey{v: v, end: end, horizon: horizon}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if c, ok := p.counters[key]; ok {
 		return c, nil
 	}
-	goal, ok := p.goals[nav]
-	if !ok {
-		g, err := p.MakeGoal(nav)
-		if err != nil {
-			return nil, err
-		}
-		if p.goals == nil {
-			p.goals = map[*coursenav.Navigator]coursenav.Goal{}
-		}
-		p.goals[nav] = g
-		goal = g
+	nav, err := p.nav(v)
+	if err != nil {
+		return nil, err
+	}
+	goal, err := p.goalLocked(nav)
+	if err != nil {
+		return nil, err
 	}
 	q := p.Query
 	q.End = end
 	q.Completed, q.Start = nil, ""
-	c, err := nav.NewSharedCounter(q, goal, horizon, p.MaxStatuses)
+	c, err := nav.NewSharedCounter(q, goal, horizon, 0)
 	if err != nil {
 		return nil, err
 	}
 	if p.counters == nil {
-		p.counters = map[string]*coursenav.SharedCounter{}
+		p.counters = map[counterKey]*coursenav.SharedCounter{}
 	}
 	p.counters[key] = c
 	return c, nil
@@ -157,13 +177,9 @@ func (p *SharedPlanner) counterFor(nav *coursenav.Navigator, vid, end string, ho
 // Count implements Planner on the shared substrate: a horizon-0 counter
 // per (variant, end) answers the member's on-time tally. With a Unit
 // wrapper the execution also flows through the serving pipeline, so
-// cache hits and coalesced flights behave exactly as the per-unit path.
+// cache hits and coalesced flights behave as for any other unit.
 func (p *SharedPlanner) Count(ctx context.Context, m Member, end string, v Variant) (CountResult, error) {
-	nav, vid, err := p.nav(v)
-	if err != nil {
-		return CountResult{}, err
-	}
-	c, err := p.counterFor(nav, vid, end, 0)
+	c, err := p.counterFor(v, end, 0)
 	if err != nil {
 		return CountResult{}, err
 	}
@@ -186,15 +202,11 @@ func (p *SharedPlanner) Count(ctx context.Context, m Member, end string, v Varia
 
 // CountHorizons implements Planner: the probe's multi-deadline unit,
 // answered by the horizon-extended scenario counter in one partial DP.
-// The substrate has no per-run budget clamps, so there is no Stopped
-// lower bound — a unit that cannot finish inside its context deadline
-// fails with an error instead (recorded on the member).
+// The substrate has no per-run budget clamps, so a count is exact or an
+// error: a unit that cannot finish inside its context deadline fails
+// (recorded on the member), never a lower bound.
 func (p *SharedPlanner) CountHorizons(ctx context.Context, m Member, end string, horizon int, v Variant) (HorizonCounts, error) {
-	nav, vid, err := p.nav(v)
-	if err != nil {
-		return HorizonCounts{}, err
-	}
-	c, err := p.counterFor(nav, vid, end, horizon)
+	c, err := p.counterFor(v, end, horizon)
 	if err != nil {
 		return HorizonCounts{}, err
 	}
@@ -215,11 +227,38 @@ func (p *SharedPlanner) CountHorizons(ctx context.Context, m Member, end string,
 	return HorizonCounts{GoalPaths: sc.GoalPaths}, nil
 }
 
-// Replan implements Planner by delegation: what-if units are
-// path-shaped (per-selection impact bodies), which the counting
-// substrate does not model.
+// replanBody is the interactive whatif endpoint's response shape, so a
+// direct replan's record reads the same as one the server renders.
+type replanBody struct {
+	Selections []coursenav.SelectionImpact `json:"selections"`
+	Stopped    string                      `json:"stopped,omitempty"`
+}
+
+// Replan implements Planner: the member's next-semester selection
+// comparison against the scenario catalog, through ReplanUnit when set.
+// What-if units are path-shaped (per-selection impact bodies), so they
+// run the façade's comparison rather than a shared counter.
 func (p *SharedPlanner) Replan(ctx context.Context, m Member, end string) (Replan, error) {
-	return p.Inner.Replan(ctx, m, end)
+	if p.ReplanUnit != nil {
+		return p.ReplanUnit(ctx, m, end)
+	}
+	p.mu.Lock()
+	goal, err := p.goalLocked(p.Scenario)
+	p.mu.Unlock()
+	if err != nil {
+		return Replan{}, err
+	}
+	q := p.Query
+	q.Completed, q.Start, q.End = m.Completed, m.Start, end
+	impacts, stopped, err := p.Scenario.CompareSelectionsCtx(ctx, q, goal)
+	if err != nil {
+		return Replan{}, err
+	}
+	body, err := json.Marshal(replanBody{Selections: impacts, Stopped: stopped})
+	if err != nil {
+		return Replan{}, err
+	}
+	return Replan{Body: body}, nil
 }
 
 // Stats aggregates substrate tallies across every counter built so far.

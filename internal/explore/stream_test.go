@@ -323,12 +323,16 @@ func TestRankedStreamOrderAndParity(t *testing.T) {
 }
 
 // TestWhatIfStreamParity: the streaming what-if delivers the same impacts
-// CompareSelectionsCtx reports, and ErrStopEmit stops it cleanly.
+// the tree walk's CompareSelectionsCtx reports, and ErrStopEmit stops it
+// cleanly. The reference is the tree walk, not the DAG sort, so a wrong
+// tally the DAG stream and sort share cannot pass.
 func TestWhatIfStreamParity(t *testing.T) {
 	rc := newRandomCase(t, 6)
 	pruners := PaperPruners(rc.cat, rc.req, rc.opt.MaxPerTerm)
 	st := rc.whatIfStatus(t)
-	sorted, stopped, err := CompareSelectionsCtx(context.Background(), rc.cat, st, rc.end, rc.req, pruners, rc.opt)
+	topt := rc.opt
+	topt.Substrate = SubstrateTree
+	sorted, stopped, err := CompareSelectionsCtx(context.Background(), rc.cat, st, rc.end, rc.req, pruners, topt)
 	if err != nil || stopped != "" {
 		t.Fatalf("CompareSelectionsCtx: stopped=%q err=%v", stopped, err)
 	}

@@ -6,10 +6,12 @@
 // — O(member) memory regardless of cohort size — with a trailing
 // aggregate summary. Each member decomposes into counting (and
 // optionally what-if) units executed through runUnit, so every unit is
-// individually priced by the admission estimator, individually budgeted
-// (RequestTimeout and brownout clamps apply per unit, not per job), and
-// keyed into the tenant's result cache: members sharing a canonical
-// sub-request coalesce with each other and with interactive traffic.
+// individually priced by the admission estimator, individually
+// time-bounded (RequestTimeout, budget.timeoutMs and brownout's timeout
+// clamp apply per unit, not per job; node and path budgets bound only
+// what-if units, as counts run on shared counters), and keyed into the
+// tenant's result cache: members sharing a canonical sub-request
+// coalesce with each other and with interactive traffic.
 // For an empty scenario the units use the interactive endpoints' own
 // cache key space ("goal", "whatif"), so a cohort-of-1 detail replan is
 // byte-identical to the corresponding /api/v1/explore/whatif response —
@@ -218,21 +220,25 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 		return
 	}
 
+	horizon := req.Horizon
+	if horizon == 0 {
+		horizon = cohort.DefaultHorizon
+	}
 	pl := &serverPlanner{
 		s: s, t: t, gen: gen,
 		baseNav: nav, scenNav: scenNav, sampleNavs: sampleNavs,
 		scenario: &req.Scenario,
-		goalSpec: *req.Goal,
+		goal:     req.Goal,
 		template: req.Query,
 		budget:   req.Budget,
+		horizon:  horizon,
 	}
 	// The job's counting units run on a shared substrate — one interned
 	// DAG + tally memo per catalog variant, built across members — with
-	// each execution still threaded through runUnit, so per-unit pricing,
-	// budgets and the result cache behave exactly as the dedicated path.
-	// Replans (path-shaped) stay on the dedicated path.
+	// each execution threaded through runUnit, so per-unit pricing, time
+	// bounds and the result cache apply to every unit. Replans
+	// (path-shaped) run the interactive what-if through runUnit too.
 	shared := &cohort.SharedPlanner{
-		Inner:    pl,
 		Base:     nav,
 		Scenario: scenNav,
 		Samples:  sampleNavs,
@@ -242,6 +248,7 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 		Query:       s.query(req.Query, req.Budget),
 		Unit:        pl.sharedUnit,
 		HorizonUnit: pl.sharedHorizonUnit,
+		ReplanUnit:  pl.replan,
 	}
 	workers := req.Workers
 	if workers == 0 {
@@ -254,7 +261,7 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 		Planner: shared,
 		Opts: cohort.Options{
 			End:      req.Query.End,
-			Horizon:  req.Horizon,
+			Horizon:  horizon,
 			Baseline: req.Baseline,
 			Detail:   req.Detail,
 			Samples:  req.Scenario.Samples,
@@ -363,10 +370,11 @@ func (s *Server) cohortMembers(nav *coursenav.Navigator, cat *catalog.Catalog, r
 // serverPlanner executes cohort units through the serving pipeline:
 // each unit is an ExploreRequest in the same canonical form the
 // interactive handlers produce, run through runUnit (cache → coalesce →
-// admission → engine). Variant selection maps to endpoint key spaces:
-// the base catalog uses the interactive endpoints' own spaces ("goal",
-// "whatif") — as does an empty scenario — while a non-empty delta and
-// each Monte-Carlo sample get digest-suffixed spaces of their own.
+// admission → engine). It supplies the SharedPlanner's unit hooks.
+// Variant selection maps to endpoint key spaces: the base catalog uses
+// the interactive endpoints' own spaces ("goal", "whatif") — as does an
+// empty scenario — while a non-empty delta and each Monte-Carlo sample
+// get digest-suffixed spaces of their own.
 type serverPlanner struct {
 	s          *Server
 	t          *tenantState
@@ -375,52 +383,66 @@ type serverPlanner struct {
 	scenNav    *coursenav.Navigator
 	sampleNavs []*coursenav.Navigator
 	scenario   *cohort.Scenario
-	goalSpec   GoalSpec
-	template   QuerySpec
-	budget     *BudgetSpec
+	// goal is the job's canonical goal, shared read-only by every unit.
+	goal     *GoalSpec
+	template QuerySpec
+	budget   *BudgetSpec
+	// horizon is the job's delay-probe horizon, the <h> of its
+	// "goalmh<h>" spaces.
+	horizon int
 
 	mu    sync.Mutex // guards goals: the parallel pipeline shares the planner
 	goals map[*coursenav.Navigator]coursenav.Goal
 
-	keysOnce   sync.Once // derives scenKey and sampleKeys (see keys)
-	scenKey    string
-	sampleKeys []string
+	keysOnce sync.Once // derives spaces (see keys)
+	spaces   []unitSpaces
 }
 
-// keys returns the endpoint-space suffixes of the scenario and of each
-// sample, derived once per job: a digest is a reflective JSON encode and
-// a SHA-256, and every unit asks for one. An empty scenario has no
-// suffix, so its units share the base spaces.
-func (p *serverPlanner) keys() (string, []string) {
+// unitSpaces holds one catalog variant's endpoint key spaces, one per
+// kind of unit: counts ("goal"), delay probes ("goalmh<h>") and replans
+// ("whatif").
+type unitSpaces struct {
+	goal, goalmh, whatif string
+}
+
+// keys returns the key spaces of the base catalog, the scenario and then
+// each sample, derived once per job: a digest is a reflective JSON
+// encode and a SHA-256, and every unit asks for a space. An empty
+// scenario has no suffix, so its units share the base spaces.
+func (p *serverPlanner) keys() []unitSpaces {
 	p.keysOnce.Do(func() {
-		if !p.scenario.Empty() {
-			p.scenKey = "|cohort:" + p.scenario.Digest()
+		goalmh := "goalmh" + strconv.Itoa(p.horizon)
+		suffixed := func(suffix string) unitSpaces {
+			return unitSpaces{goal: "goal" + suffix, goalmh: goalmh + suffix, whatif: "whatif" + suffix}
 		}
-		p.sampleKeys = make([]string, len(p.sampleNavs))
-		for i := range p.sampleKeys {
-			p.sampleKeys[i] = "|cohort:" + p.scenario.SampleKey(i)
+		scenKey := ""
+		if !p.scenario.Empty() {
+			scenKey = "|cohort:" + p.scenario.Digest()
+		}
+		p.spaces = make([]unitSpaces, 2, 2+len(p.sampleNavs))
+		p.spaces[0], p.spaces[1] = suffixed(""), suffixed(scenKey)
+		for i := range p.sampleNavs {
+			p.spaces = append(p.spaces, suffixed("|cohort:"+p.scenario.SampleKey(i)))
 		}
 	})
-	return p.scenKey, p.sampleKeys
+	return p.spaces
 }
 
-// variant resolves a cohort variant to its navigator and endpoint key
-// space. kind is the interactive endpoint name the unit piggybacks on.
-func (p *serverPlanner) variant(v cohort.Variant, kind string) (*coursenav.Navigator, string, error) {
+// variant resolves a cohort variant to its navigator and key spaces.
+func (p *serverPlanner) variant(v cohort.Variant) (*coursenav.Navigator, *unitSpaces, error) {
+	spaces := p.keys()
 	switch v.Kind {
 	case cohort.KindBase:
-		return p.baseNav, kind, nil
+		return p.baseNav, &spaces[0], nil
 	case cohort.KindScenario:
-		scenKey, _ := p.keys()
-		return p.scenNav, kind + scenKey, nil
+		return p.scenNav, &spaces[1], nil
 	case cohort.KindSample:
 		if v.Sample < 0 || v.Sample >= len(p.sampleNavs) {
-			return nil, "", fmt.Errorf("cohort: sample %d out of range", v.Sample)
+			return nil, nil, fmt.Errorf("cohort: sample %d out of range", v.Sample)
 		}
-		_, sampleKeys := p.keys()
-		return p.sampleNavs[v.Sample], kind + sampleKeys[v.Sample], nil
+		return p.sampleNavs[v.Sample], &spaces[2+v.Sample], nil
 	}
-	return nil, "", fmt.Errorf("cohort: unknown variant kind %d", v.Kind)
+	return nil, nil, fmt.Errorf("cohort: unknown variant kind %d", v.Kind)
 }
 
 func (p *serverPlanner) goalFor(nav *coursenav.Navigator) (coursenav.Goal, error) {
@@ -429,7 +451,7 @@ func (p *serverPlanner) goalFor(nav *coursenav.Navigator) (coursenav.Goal, error
 	if g, ok := p.goals[nav]; ok {
 		return g, nil
 	}
-	g, err := buildGoal(nav, p.goalSpec)
+	g, err := buildGoal(nav, *p.goal)
 	if err != nil {
 		return coursenav.Goal{}, err
 	}
@@ -449,44 +471,7 @@ func (p *serverPlanner) unitReq(m cohort.Member, end string, countOnly bool) *Ex
 	qs.Start = m.Start
 	qs.End = end
 	qs.CountOnly = countOnly
-	goal := p.goalSpec
-	return &ExploreRequest{Query: qs, Goal: &goal, Budget: p.budget}
-}
-
-// Count implements cohort.Planner: a goal countOnly unit, exactly the
-// interactive countOnly goal exploration (DAG substrate and all) keyed
-// into the variant's endpoint space.
-func (p *serverPlanner) Count(ctx context.Context, m cohort.Member, end string, v cohort.Variant) (cohort.CountResult, error) {
-	nav, endpoint, err := p.variant(v, "goal")
-	if err != nil {
-		return cohort.CountResult{}, err
-	}
-	req := p.unitReq(m, end, true)
-	var stopped string
-	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, endpoint, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
-		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
-		defer cancel()
-		goal, err := p.goalFor(nav)
-		if err != nil {
-			return nil, false, err
-		}
-		sum, err := nav.GoalPathsCountCtx(ctx, p.s.query(req.Query, req.Budget), goal)
-		if err != nil {
-			return nil, false, err
-		}
-		stopped = sum.Stopped
-		rb, err := p.s.renderExploreBody(sum, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		defer rb.release()
-		ent := newEntry(rb.b, sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
-		return ent, sum.Stopped == "" && len(rb.b) <= maxCacheEntryBytes, nil
-	})
-	if err != nil {
-		return cohort.CountResult{}, err
-	}
-	return cohort.CountResult{GoalPaths: ent.Paths, Stopped: stopped, Reused: how != "miss"}, nil
+	return &ExploreRequest{Query: qs, Goal: p.goal, Budget: p.budget}
 }
 
 // horizonBody is the cached body of a multi-deadline counting unit —
@@ -494,59 +479,20 @@ func (p *serverPlanner) Count(ctx context.Context, m cohort.Member, end string, 
 // interactive endpoint, so the shape is the unit's own.
 type horizonBody struct {
 	GoalPaths []int64 `json:"goalPaths"`
-	Stopped   string  `json:"stopped,omitempty"`
-}
-
-// CountHorizons implements cohort.Planner on the dedicated engine: one
-// multi-deadline counting run through runUnit, cached under the
-// variant's "goalmh<h>" key space. The shared-substrate path
-// (SharedPlanner) supersedes this for cohort jobs; it remains the
-// complete fallback for direct serverPlanner use.
-func (p *serverPlanner) CountHorizons(ctx context.Context, m cohort.Member, end string, horizon int, v cohort.Variant) (cohort.HorizonCounts, error) {
-	nav, endpoint, err := p.variant(v, "goalmh"+strconv.Itoa(horizon))
-	if err != nil {
-		return cohort.HorizonCounts{}, err
-	}
-	req := p.unitReq(m, end, true)
-	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, endpoint, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
-		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
-		defer cancel()
-		goal, err := p.goalFor(nav)
-		if err != nil {
-			return nil, false, err
-		}
-		gp, sum, err := nav.GoalPathsCountHorizonsCtx(ctx, p.s.query(req.Query, req.Budget), goal, horizon)
-		if err != nil {
-			return nil, false, err
-		}
-		rb := newRenderBuf()
-		defer rb.release()
-		rb.b = appendHorizonBody(rb.b, horizonBody{GoalPaths: gp, Stopped: sum.Stopped})
-		ent := newEntry(rb.b, sum.GoalPaths, req.Query.Start+" → "+req.Query.End)
-		return ent, sum.Stopped == "" && len(ent.Body) <= maxCacheEntryBytes, nil
-	})
-	if err != nil {
-		return cohort.HorizonCounts{}, err
-	}
-	hb, err := parseHorizonBody(ent.Body)
-	if err != nil {
-		return cohort.HorizonCounts{}, err
-	}
-	return cohort.HorizonCounts{GoalPaths: hb.GoalPaths, Stopped: hb.Stopped, Reused: how != "miss"}, nil
 }
 
 // sharedUnit threads one shared-substrate counting execution through
-// runUnit: the unit keeps the dedicated path's key space (so cache
-// entries flow between cohort jobs and interactive countOnly traffic in
-// both directions), its admission pricing and its per-unit budgets —
-// only the engine underneath changed.
+// runUnit: the unit is keyed as an interactive countOnly goal request
+// (so cache entries flow between cohort jobs and interactive countOnly
+// traffic in both directions), priced by admission and bounded by
+// unitCtx's timeouts.
 func (p *serverPlanner) sharedUnit(ctx context.Context, m cohort.Member, end string, v cohort.Variant, exec cohort.CountExec) (cohort.CountResult, error) {
-	_, endpoint, err := p.variant(v, "goal")
+	_, spaces, err := p.variant(v)
 	if err != nil {
 		return cohort.CountResult{}, err
 	}
 	req := p.unitReq(m, end, true)
-	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, endpoint, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
+	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, spaces.goal, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
 		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
 		defer cancel()
 		began := time.Now()
@@ -576,14 +522,15 @@ func (p *serverPlanner) sharedUnit(ctx context.Context, m cohort.Member, end str
 }
 
 // sharedHorizonUnit is sharedUnit's multi-deadline counterpart, keyed
-// like CountHorizons' dedicated units.
-func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, end string, horizon int, v cohort.Variant, exec cohort.HorizonExec) (cohort.HorizonCounts, error) {
-	_, endpoint, err := p.variant(v, "goalmh"+strconv.Itoa(horizon))
+// in the variant's "goalmh<h>" space for the job's horizon, the only one
+// the runner probes.
+func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, end string, _ int, v cohort.Variant, exec cohort.HorizonExec) (cohort.HorizonCounts, error) {
+	_, spaces, err := p.variant(v)
 	if err != nil {
 		return cohort.HorizonCounts{}, err
 	}
 	req := p.unitReq(m, end, true)
-	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, endpoint, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
+	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, spaces.goalmh, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
 		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
 		defer cancel()
 		sc, err := exec(ctx)
@@ -606,18 +553,19 @@ func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, 
 	return cohort.HorizonCounts{GoalPaths: hb.GoalPaths, Reused: how != "miss"}, nil
 }
 
-// Replan implements cohort.Planner: the member's what-if unit against
-// the scenario catalog. The rendered entry body is byte-identical to
-// the interactive whatif endpoint's response (both are appendWhatIf),
-// so for an empty scenario the unit shares the interactive "whatif"
-// cache space in both directions.
-func (p *serverPlanner) Replan(ctx context.Context, m cohort.Member, end string) (cohort.Replan, error) {
-	nav, endpoint, err := p.variant(cohort.Variant{Kind: cohort.KindScenario}, "whatif")
+// replan is the SharedPlanner's ReplanUnit: the member's what-if unit
+// against the scenario catalog, with the interactive request's budgets
+// and brownout clamps. The rendered entry body is byte-identical to the
+// interactive whatif endpoint's response (both are appendWhatIf), so for
+// an empty scenario the unit shares the interactive "whatif" cache space
+// in both directions.
+func (p *serverPlanner) replan(ctx context.Context, m cohort.Member, end string) (cohort.Replan, error) {
+	nav, spaces, err := p.variant(cohort.Variant{Kind: cohort.KindScenario})
 	if err != nil {
 		return cohort.Replan{}, err
 	}
 	req := p.unitReq(m, end, false)
-	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, endpoint, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
+	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, spaces.whatif, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
 		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
 		defer cancel()
 		goal, err := p.goalFor(nav)

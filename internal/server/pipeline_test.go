@@ -111,15 +111,17 @@ func postAsync(ctx context.Context, ts *httptest.Server, path, body string) <-ch
 // leaderFixture is a server with a cohort planner whose base-catalog
 // counting unit shares its key with an interactive countOnly goal
 // request (the cohort-of-1 invariant), plus that request's body and the
-// goal-path count both must report.
+// goal-path count both must report. shared counts on the substrate
+// through p's sharedUnit, wired as a cohort job wires it.
 type leaderFixture struct {
-	s    *Server
-	ts   *httptest.Server
-	p    *serverPlanner
-	m    cohort.Member
-	end  string
-	body string
-	want int64
+	s      *Server
+	ts     *httptest.Server
+	p      *serverPlanner
+	shared *cohort.SharedPlanner
+	m      cohort.Member
+	end    string
+	body   string
+	want   int64
 }
 
 func newLeaderFixture(t *testing.T) *leaderFixture {
@@ -131,12 +133,21 @@ func newLeaderFixture(t *testing.T) *leaderFixture {
 		p: &serverPlanner{
 			s: s, t: s.defaultTenant(), gen: s.Generation(),
 			baseNav: nav, scenNav: nav, scenario: &cohort.Scenario{},
-			goalSpec: GoalSpec{Courses: []string{"COSI 21A"}},
+			goal:     &GoalSpec{Courses: []string{"COSI 21A"}},
 			template: QuerySpec{MaxPerTerm: 2},
 		},
 		m:    cohort.Member{Student: "S1", Completed: []string{"COSI 11A"}, Start: "Fall 2013"},
 		end:  "Fall 2015",
 		body: `{"query":{"completed":["COSI 11A"],"start":"Fall 2013","end":"Fall 2015","maxPerTerm":2,"countOnly":true},"goal":{"courses":["COSI 21A"]}}`,
+	}
+	f.shared = &cohort.SharedPlanner{
+		Base:     nav,
+		Scenario: nav,
+		MakeGoal: func(nv *coursenav.Navigator) (coursenav.Goal, error) {
+			return buildGoal(nv, *f.p.goal)
+		},
+		Query: s.query(f.p.template, nil),
+		Unit:  f.p.sharedUnit,
 	}
 	goal, err := nav.GoalCourses("COSI 21A")
 	if err != nil {
@@ -259,7 +270,7 @@ func TestLeaderFailureReleasesFollowers(t *testing.T) {
 			}
 			follower := make(chan result, 1)
 			go func() {
-				res, err := f.p.Count(context.Background(), f.m, f.end, cohort.Variant{Kind: cohort.KindBase})
+				res, err := f.shared.Count(context.Background(), f.m, f.end, cohort.Variant{Kind: cohort.KindBase})
 				follower <- result{res, err}
 			}()
 			f.joined(t)

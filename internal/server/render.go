@@ -337,10 +337,6 @@ func appendMemberRecord(dst []byte, r cohortMemberRecord) ([]byte, error) {
 		dst = append(dst, `,"replan":`...)
 		dst = append(dst, m.Replan...)
 	}
-	if m.Stopped != "" {
-		dst = append(dst, `,"stopped":`...)
-		dst = jsonenc.String(dst, m.Stopped)
-	}
 	if m.Error != "" {
 		dst = append(dst, `,"error":`...)
 		dst = jsonenc.String(dst, m.Error)
@@ -408,10 +404,6 @@ func appendHorizonBody(dst []byte, h horizonBody) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	if h.Stopped != "" {
-		dst = append(dst, `,"stopped":`...)
-		dst = jsonenc.String(dst, h.Stopped)
-	}
 	return append(dst, "}\n"...)
 }
 
@@ -420,9 +412,8 @@ func appendHorizonBody(dst []byte, h horizonBody) []byte {
 var errHorizonBody = errors.New("server: malformed horizon unit body")
 
 // parseHorizonBody reads a body appendHorizonBody wrote, without a JSON
-// decoder: exactly {"goalPaths":[n,...]|null[,"stopped":"reason"]} and a
-// newline. Stop reasons are plain identifiers, so a stopped string that
-// carries an escape is rejected with the rest of any other shape.
+// decoder: exactly {"goalPaths":[n,...]|null} and a newline; any other
+// shape is rejected.
 func parseHorizonBody(body []byte) (horizonBody, error) {
 	var h horizonBody
 	rest, ok := bytes.CutPrefix(body, []byte(`{"goalPaths":`))
@@ -450,16 +441,6 @@ func parseHorizonBody(body []byte) (horizonBody, error) {
 				break
 			}
 		}
-	}
-	if rest, ok = bytes.CutPrefix(rest, []byte(`,"stopped":"`)); ok {
-		i := 0
-		for i < len(rest) && rest[i] != '"' && rest[i] != '\\' && rest[i] >= 0x20 {
-			i++
-		}
-		if i == 0 || i == len(rest) || rest[i] != '"' {
-			return h, errHorizonBody
-		}
-		h.Stopped, rest = string(rest[:i]), rest[i+1:]
 	}
 	if string(rest) != "}\n" {
 		return h, errHorizonBody

@@ -118,7 +118,7 @@ func (g *renderGen) impacts() []coursenav.SelectionImpact {
 func (g *renderGen) member() cohort.MemberRecord {
 	m := cohort.MemberRecord{
 		Student: g.str(), GoalPaths: g.int(), Affected: g.rng.Intn(2) == 0,
-		Delay: int(g.int()), Stranded: g.rng.Intn(2) == 0, Stopped: g.str(), Error: g.str(),
+		Delay: int(g.int()), Stranded: g.rng.Intn(2) == 0, Error: g.str(),
 	}
 	if g.rng.Intn(2) == 0 {
 		b := g.int()
@@ -269,7 +269,7 @@ func checkRenderers(t *testing.T, g *renderGen) {
 			gp[i] = g.int()
 		}
 	}
-	hb := horizonBody{GoalPaths: gp, Stopped: g.str()}
+	hb := horizonBody{GoalPaths: gp}
 	matchMarshal(t, "horizon body", appendHorizonBody(pre(), hb), nil, hb, true)
 }
 
@@ -359,24 +359,21 @@ func TestExploreBodyFraming(t *testing.T) {
 }
 
 // TestHorizonBodyRoundTrip: a horizon unit body reads back exactly as
-// it was rendered, for every stop reason the engine reports.
+// it was rendered.
 func TestHorizonBodyRoundTrip(t *testing.T) {
 	for _, h := range []horizonBody{
 		{GoalPaths: []int64{0}},
 		{GoalPaths: []int64{12, 0, 7, math.MaxInt64, math.MinInt64}},
 		{GoalPaths: []int64{}},
 		{GoalPaths: nil},
-		{GoalPaths: []int64{3, -1}, Stopped: "deadline"},
-		{GoalPaths: []int64{1}, Stopped: "max-nodes"},
-		{GoalPaths: []int64{1}, Stopped: "canceled"},
-		{GoalPaths: []int64{1}, Stopped: "max-paths"},
+		{GoalPaths: []int64{3, -1}},
 	} {
 		body := appendHorizonBody(nil, h)
 		got, err := parseHorizonBody(body)
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
-		if (got.GoalPaths == nil) != (h.GoalPaths == nil) || fmt.Sprint(got.GoalPaths) != fmt.Sprint(h.GoalPaths) || got.Stopped != h.Stopped {
+		if (got.GoalPaths == nil) != (h.GoalPaths == nil) || fmt.Sprint(got.GoalPaths) != fmt.Sprint(h.GoalPaths) {
 			t.Errorf("%s read back as %+v, want %+v", body, got, h)
 		}
 	}

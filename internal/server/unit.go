@@ -10,11 +10,12 @@
 //     usage annotations, and runs the handler into a buffer as exec;
 //   - revalidate (cache.go), brownout's background refresh, as a try unit
 //     that never waits;
-//   - the cohort planners (cohort.go), which replan each member as units:
-//     every member is individually costed by the admission estimator,
-//     individually budgeted (unitCtx) and keyed into the same result
-//     cache interactive traffic uses, so members sharing a canonical
-//     sub-request coalesce with each other and with live requests.
+//   - the cohort planner's unit hooks (cohort.go), which replan each
+//     member as units: every member is individually costed by the
+//     admission estimator, individually time-bounded (unitCtx) and keyed
+//     into the same result cache interactive traffic uses, so members
+//     sharing a canonical sub-request coalesce with each other and with
+//     live requests.
 //
 // Streams (serveStream, stream.go) never read the cache; they share the
 // key, the admission gate and the publish of a complete run only.
