@@ -62,12 +62,15 @@ race-short:
 # The resilience gate: the chaos fault-injection suite (reload-source,
 # handler-entry and mid-stream faults), the overload/brownout/breaker
 # behaviours and the shutdown-under-load drain, all under the race
-# detector. CI uploads the log on failure.
+# detector, then the streaming suites five times over: the stream
+# writer's flush timer is a second goroutine touching the response.
+# CI uploads the log on failure.
 chaos-short:
 	$(GO) test -race -timeout 120s ./internal/chaos/ ./internal/admission/
 	$(GO) test -race -timeout 120s \
 		-run 'Chaos|Queue|Shed|Brownout|Degraded|Breaker|Stale|Healthz|StatsOverload|OverloadMix|ShutdownUnderLoad' \
 		./internal/server/
+	$(GO) test -race -count 5 -run 'Stream|Flush|CohortMidStream|CohortFirstRecord|ChaosMidStream' ./internal/server/
 
 # The batch-simulation gate: the scenario/cohort engine, the cohort
 # endpoint's streaming, cancellation, coalescing and cohort-of-1

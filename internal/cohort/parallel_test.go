@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro"
@@ -315,6 +316,71 @@ func TestSharedPlannerMatchesPerUnitRuns(t *testing.T) {
 	}
 	if st := sp.Stats(); st.Builds == 0 || st.Hits+st.DPReused == 0 {
 		t.Errorf("shared substrate saw no reuse across %d members: %+v", len(members), st)
+	}
+}
+
+// TestSharedPlannerOneGoalPerVariant: a job builds each catalog
+// variant's goal once, however many counters, probes and replans use it
+// and whichever asks first. Over a baseline, detail and sampled run —
+// with a request for the base goal before it, as the server's member
+// synthesis makes, and replans through ReplanUnit — MakeGoal runs once
+// per variant, serially and in parallel.
+func TestSharedPlannerOneGoalPerVariant(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, sp, members := testCohort(t, 24)
+		sc := Scenario{Samples: 2, Seed: 3, ReleasedThrough: "Fall 2013"}
+		cats, err := sc.SampleSchedules(sp.Scenario.Catalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cats {
+			sp.Samples = append(sp.Samples, coursenav.NewFromCatalog(c))
+		}
+		var mu sync.Mutex
+		built := map[*coursenav.Navigator]int{}
+		var handed []coursenav.Goal
+		makeGoal := sp.MakeGoal
+		sp.MakeGoal = func(nav *coursenav.Navigator) (coursenav.Goal, error) {
+			mu.Lock()
+			built[nav]++
+			mu.Unlock()
+			return makeGoal(nav)
+		}
+		sp.ReplanUnit = func(_ context.Context, _ Member, _ string, goal coursenav.Goal) (Replan, error) {
+			mu.Lock()
+			handed = append(handed, goal)
+			mu.Unlock()
+			return Replan{Body: []byte(`{"selections":[]}`)}, nil
+		}
+		if _, err := sp.Goal(Variant{Kind: KindBase}); err != nil {
+			t.Fatal(err)
+		}
+		r := Runner{Planner: sp, Opts: Options{End: "Fall 2015", Horizon: 2, Baseline: true, Detail: true, Samples: len(cats), Workers: workers}}
+		sum, err := r.Run(context.Background(), members, func(MemberRecord) error { return nil })
+		if err != nil {
+			t.Fatalf("workers=%d: Run: %v", workers, err)
+		}
+		if sum.Errors != 0 || sum.Delayed+sum.Stranded == 0 || len(handed) == 0 {
+			t.Fatalf("workers=%d: run did not reach every kind of unit: %+v, %d replans", workers, sum, len(handed))
+		}
+		variants := []*coursenav.Navigator{sp.Base, sp.Scenario, sp.Samples[0], sp.Samples[1]}
+		if len(built) != len(variants) {
+			t.Errorf("workers=%d: MakeGoal ran for %d catalogs, want the %d variants", workers, len(built), len(variants))
+		}
+		for i, nav := range variants {
+			if built[nav] != 1 {
+				t.Errorf("workers=%d: variant %d's goal built %d times, want 1", workers, i, built[nav])
+			}
+		}
+		scen, err := sp.Goal(Variant{Kind: KindScenario})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range handed {
+			if g.Inner() != scen.Inner() {
+				t.Fatalf("workers=%d: ReplanUnit was handed a goal other than the scenario's cached one", workers)
+			}
+		}
 	}
 }
 

@@ -276,15 +276,19 @@ func (r *Runner) runSerial(ctx context.Context, members []Member, emit func(Memb
 	return nil
 }
 
-// memberFuture is one member's slot in the parallel reorder window: the
-// producer enqueues it (in member order) before handing the member to a
-// worker, and the consumer blocks on done, so emits happen strictly in
-// member order no matter which worker finishes first.
+// memberFuture is one slot of the parallel reorder window: the producer
+// fills a free slot with the next member and enqueues it (in member
+// order) before handing it to a worker, and the consumer waits on done,
+// so emits happen strictly in member order no matter which worker
+// finishes first. Slots are reused: once its record is emitted the
+// consumer returns the slot to the free list.
 type memberFuture struct {
-	m    Member
-	rec  MemberRecord
-	st   memberStats
-	err  error
+	m   Member
+	rec MemberRecord
+	st  memberStats
+	err error
+	// done carries one send per use (cap 1): the worker's, or the
+	// producer's when it resolves an unassigned member on cancellation.
 	done chan struct{}
 }
 
@@ -294,10 +298,17 @@ func (r *Runner) runParallel(ctx context.Context, members []Member, emit func(Me
 	defer wg.Wait() // after cancel (LIFO): unblock the pool, then join it
 	defer cancel()
 
-	// The futures channel IS the reorder window: its capacity bounds how
-	// far computation may run ahead of the in-order consumer, so memory
-	// stays O(window) however uneven the members are.
-	futures := make(chan *memberFuture, 2*workers)
+	// The slots ARE the reorder window: the producer blocks for a free
+	// one, so computation runs at most len(slots) members ahead of the
+	// in-order consumer and memory stays O(window) however uneven the
+	// members are. futures never blocks: it has room for every slot.
+	slots := make([]memberFuture, 2*workers)
+	free := make(chan *memberFuture, len(slots))
+	for i := range slots {
+		slots[i].done = make(chan struct{}, 1)
+		free <- &slots[i]
+	}
+	futures := make(chan *memberFuture, len(slots))
 	jobs := make(chan *memberFuture)
 	wg.Add(1)
 	go func() {
@@ -305,19 +316,21 @@ func (r *Runner) runParallel(ctx context.Context, members []Member, emit func(Me
 		defer close(jobs)
 		defer close(futures)
 		for i := range members {
-			f := &memberFuture{m: members[i], done: make(chan struct{})}
+			var f *memberFuture
 			select {
-			case futures <- f:
+			case f = <-free:
 			case <-pctx.Done():
 				return
 			}
+			f.m, f.rec, f.st, f.err = members[i], MemberRecord{}, memberStats{}, nil
+			futures <- f
 			select {
 			case jobs <- f:
 			case <-pctx.Done():
 				// Already visible to the consumer; resolve it so the
 				// in-order drain cannot block on an unassigned member.
 				f.err = pctx.Err()
-				close(f.done)
+				f.done <- struct{}{}
 				return
 			}
 		}
@@ -328,7 +341,7 @@ func (r *Runner) runParallel(ctx context.Context, members []Member, emit func(Me
 			defer wg.Done()
 			for f := range jobs {
 				f.rec, f.st, f.err = r.member(pctx, f.m, end, horizon)
-				close(f.done)
+				f.done <- struct{}{}
 			}
 		}()
 	}
@@ -344,6 +357,7 @@ func (r *Runner) runParallel(ctx context.Context, members []Member, emit func(Me
 		if err := emit(f.rec); err != nil {
 			return err
 		}
+		free <- f
 	}
 	return nil
 }

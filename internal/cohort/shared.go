@@ -48,7 +48,8 @@ type SharedPlanner struct {
 	// ReplanUnit, when set, runs each replan unit in place of the direct
 	// comparison — the server wires its pipeline replan here, so what-if
 	// units share the interactive endpoint's cache, budgets and bytes.
-	ReplanUnit func(ctx context.Context, m Member, end string) (Replan, error)
+	// goal is the scenario catalog's goal from the planner's cache.
+	ReplanUnit func(ctx context.Context, m Member, end string, goal coursenav.Goal) (Replan, error)
 
 	mu       sync.Mutex
 	goals    map[*coursenav.Navigator]coursenav.Goal
@@ -124,8 +125,21 @@ func (p *SharedPlanner) nav(v Variant) (*coursenav.Navigator, error) {
 	return nil, fmt.Errorf("cohort: unknown variant kind %d", v.Kind)
 }
 
-// goalLocked returns nav's goal, built on first use and then shared by
-// every counter and replan on that catalog. p.mu must be held.
+// Goal returns the variant's goal, built by MakeGoal on first use and
+// then shared by every counter and replan on that catalog, so a job
+// builds each variant's goal once. Callers outside the planner (the
+// server synthesises members toward the base goal) share it too.
+func (p *SharedPlanner) Goal(v Variant) (coursenav.Goal, error) {
+	nav, err := p.nav(v)
+	if err != nil {
+		return coursenav.Goal{}, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.goalLocked(nav)
+}
+
+// goalLocked returns nav's goal from the goal cache. p.mu must be held.
 func (p *SharedPlanner) goalLocked(nav *coursenav.Navigator) (coursenav.Goal, error) {
 	if g, ok := p.goals[nav]; ok {
 		return g, nil
@@ -239,14 +253,12 @@ type replanBody struct {
 // What-if units are path-shaped (per-selection impact bodies), so they
 // run the façade's comparison rather than a shared counter.
 func (p *SharedPlanner) Replan(ctx context.Context, m Member, end string) (Replan, error) {
-	if p.ReplanUnit != nil {
-		return p.ReplanUnit(ctx, m, end)
-	}
-	p.mu.Lock()
-	goal, err := p.goalLocked(p.Scenario)
-	p.mu.Unlock()
+	goal, err := p.Goal(Variant{Kind: KindScenario})
 	if err != nil {
 		return Replan{}, err
+	}
+	if p.ReplanUnit != nil {
+		return p.ReplanUnit(ctx, m, end, goal)
 	}
 	q := p.Query
 	q.Completed, q.Start, q.End = m.Completed, m.Start, end

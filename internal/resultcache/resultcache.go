@@ -131,6 +131,25 @@ func New(budget int64) *Cache {
 func (c *Cache) Get(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.get(k)
+}
+
+// GetOrJoin is Get and, on a miss, Join under one lock: it returns k's
+// entry when the cache holds one, else the flight to lead or wait on.
+// Called one after the other, a Get that misses just before a leader's
+// Finish publishes k is followed by a Join that finds no flight, and the
+// caller leads a second computation of an entry the cache already holds.
+func (c *Cache) GetOrJoin(k Key) (e *Entry, f *Flight, leader bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.get(k); ok {
+		return e, nil, false
+	}
+	f, leader = c.join(k)
+	return nil, f, leader
+}
+
+func (c *Cache) get(k Key) (*Entry, bool) {
 	if k.Gen == c.gen {
 		if el, ok := c.byKey[k]; ok {
 			c.ll.MoveToFront(el)
@@ -207,6 +226,10 @@ func (c *Cache) Budget() int64 {
 func (c *Cache) Join(k Key) (f *Flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.join(k)
+}
+
+func (c *Cache) join(k Key) (f *Flight, leader bool) {
 	if f, ok := c.flights[k]; ok {
 		c.coalesced.Add(1)
 		return f, false

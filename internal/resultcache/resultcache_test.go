@@ -173,6 +173,31 @@ func TestCoalescingFollowersShareResult(t *testing.T) {
 	}
 }
 
+// TestGetOrJoin: one call answers what Get then Join would, under one
+// lock — a miss leads, a caller during the flight follows it, and once
+// the leader's Finish has published the entry the next caller hits
+// instead of leading a second computation.
+func TestGetOrJoin(t *testing.T) {
+	c := New(1 << 20)
+	k := key(0, "a")
+	e, lead, leader := c.GetOrJoin(k)
+	if e != nil || !leader {
+		t.Fatalf("first GetOrJoin on an empty cache = (%v, leader %v), want to lead", e, leader)
+	}
+	e, f, leader := c.GetOrJoin(k)
+	if e != nil || leader || f != lead {
+		t.Fatalf("GetOrJoin during the flight = (%v, leader %v), want to follow it", e, leader)
+	}
+	c.Finish(k, lead, ent("x"))
+	e, f, leader = c.GetOrJoin(k)
+	if e == nil || string(e.Body) != "x" || f != nil || leader {
+		t.Fatalf("GetOrJoin after Finish = (%v, %v, leader %v), want the published entry", e, f, leader)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 || st.Coalesced != 1 {
+		t.Fatalf("stats = %+v, want 1 hit, 2 misses, 1 coalesced", st)
+	}
+}
+
 func TestFinishNilWakesFollowersWithoutCaching(t *testing.T) {
 	c := New(1 << 20)
 	k := key(0, "a")

@@ -209,17 +209,6 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 		sampleNavs[i] = coursenav.NewFromCatalog(sc)
 	}
 
-	members, err := s.cohortMembers(nav, cat, &req)
-	if err != nil {
-		s.writeNavErr(w, err)
-		return
-	}
-	if len(members) > maxCohortMembers {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest,
-			"cohort of %d exceeds the %d-member limit", len(members), maxCohortMembers)
-		return
-	}
-
 	horizon := req.Horizon
 	if horizon == 0 {
 		horizon = cohort.DefaultHorizon
@@ -237,7 +226,9 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 	// DAG + tally memo per catalog variant, built across members — with
 	// each execution threaded through runUnit, so per-unit pricing, time
 	// bounds and the result cache apply to every unit. Replans
-	// (path-shaped) run the interactive what-if through runUnit too.
+	// (path-shaped) run the interactive what-if through runUnit too. Its
+	// goal cache is the job's only one: synthesis, counters and replans
+	// all take their goals from it.
 	shared := &cohort.SharedPlanner{
 		Base:     nav,
 		Scenario: scenNav,
@@ -249,6 +240,16 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 		Unit:        pl.sharedUnit,
 		HorizonUnit: pl.sharedHorizonUnit,
 		ReplanUnit:  pl.replan,
+	}
+	members, err := s.cohortMembers(nav, cat, &req, shared)
+	if err != nil {
+		s.writeNavErr(w, err)
+		return
+	}
+	if len(members) > maxCohortMembers {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest,
+			"cohort of %d exceeds the %d-member limit", len(members), maxCohortMembers)
+		return
 	}
 	workers := req.Workers
 	if workers == 0 {
@@ -291,6 +292,7 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 	// the planner), not to the job — a 10k-member job legitimately
 	// outlives any single exploration's cap.
 	sw := s.newStreamWriter(w)
+	defer sw.close()
 	sum, runErr := runner.Run(r.Context(), members, func(rec cohort.MemberRecord) error {
 		return sw.record(appendMemberRecord(sw.buf[:0], cohortMemberRecord{Member: rec}))
 	})
@@ -313,8 +315,9 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 
 // cohortMembers resolves the request's member source into canonical
 // members: completed sets resolved/sorted/deduplicated and starts
-// trimmed, so equal positions produce equal unit cache keys.
-func (s *Server) cohortMembers(nav *coursenav.Navigator, cat *catalog.Catalog, req *cohortRequest) ([]cohort.Member, error) {
+// trimmed, so equal positions produce equal unit cache keys. Synthesis
+// walks toward the base catalog's goal from the job's planner.
+func (s *Server) cohortMembers(nav *coursenav.Navigator, cat *catalog.Catalog, req *cohortRequest, pl *cohort.SharedPlanner) ([]cohort.Member, error) {
 	var members []cohort.Member
 	switch {
 	case len(req.Members) > 0:
@@ -354,7 +357,7 @@ func (s *Server) cohortMembers(nav *coursenav.Navigator, cat *catalog.Catalog, r
 		if err != nil {
 			return nil, err
 		}
-		goal, err := buildGoal(nav, *req.Goal)
+		goal, err := pl.Goal(cohort.Variant{Kind: cohort.KindBase})
 		if err != nil {
 			return nil, err
 		}
@@ -390,9 +393,6 @@ type serverPlanner struct {
 	// horizon is the job's delay-probe horizon, the <h> of its
 	// "goalmh<h>" spaces.
 	horizon int
-
-	mu    sync.Mutex // guards goals: the parallel pipeline shares the planner
-	goals map[*coursenav.Navigator]coursenav.Goal
 
 	keysOnce sync.Once // derives spaces (see keys)
 	spaces   []unitSpaces
@@ -443,23 +443,6 @@ func (p *serverPlanner) variant(v cohort.Variant) (*coursenav.Navigator, *unitSp
 		return p.sampleNavs[v.Sample], &spaces[2+v.Sample], nil
 	}
 	return nil, nil, fmt.Errorf("cohort: unknown variant kind %d", v.Kind)
-}
-
-func (p *serverPlanner) goalFor(nav *coursenav.Navigator) (coursenav.Goal, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if g, ok := p.goals[nav]; ok {
-		return g, nil
-	}
-	g, err := buildGoal(nav, *p.goal)
-	if err != nil {
-		return coursenav.Goal{}, err
-	}
-	if p.goals == nil {
-		p.goals = map[*coursenav.Navigator]coursenav.Goal{}
-	}
-	p.goals[nav] = g
-	return g, nil
 }
 
 // unitReq folds one member into the job's canonical template. The
@@ -554,12 +537,12 @@ func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, 
 }
 
 // replan is the SharedPlanner's ReplanUnit: the member's what-if unit
-// against the scenario catalog, with the interactive request's budgets
-// and brownout clamps. The rendered entry body is byte-identical to the
-// interactive whatif endpoint's response (both are appendWhatIf), so for
-// an empty scenario the unit shares the interactive "whatif" cache space
-// in both directions.
-func (p *serverPlanner) replan(ctx context.Context, m cohort.Member, end string) (cohort.Replan, error) {
+// against the scenario catalog and its goal, with the interactive
+// request's budgets and brownout clamps. The rendered entry body is
+// byte-identical to the interactive whatif endpoint's response (both are
+// appendWhatIf), so for an empty scenario the unit shares the
+// interactive "whatif" cache space in both directions.
+func (p *serverPlanner) replan(ctx context.Context, m cohort.Member, end string, goal coursenav.Goal) (cohort.Replan, error) {
 	nav, spaces, err := p.variant(cohort.Variant{Kind: cohort.KindScenario})
 	if err != nil {
 		return cohort.Replan{}, err
@@ -568,10 +551,6 @@ func (p *serverPlanner) replan(ctx context.Context, m cohort.Member, end string)
 	ent, how, _, err := p.s.runUnit(ctx, newUnit(p.t, p.gen, spaces.whatif, req), func(ctx context.Context) (*resultcache.Entry, bool, error) {
 		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
 		defer cancel()
-		goal, err := p.goalFor(nav)
-		if err != nil {
-			return nil, false, err
-		}
 		impacts, stopped, err := nav.CompareSelectionsCtx(ctx, p.s.query(req.Query, req.Budget), goal)
 		if err != nil {
 			return nil, false, err

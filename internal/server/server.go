@@ -409,8 +409,11 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards to the underlying writer so NDJSON path records reach
-// the client while the exploration is still running.
+// Flush forwards to the underlying writer so NDJSON records reach the
+// client while the run is still going. The stream writer calls it on its
+// bounded-delay schedule (stream.go), from the handler's goroutine or
+// its flush timer's, never both at once and never after the handler
+// returns.
 func (r *statusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()

@@ -1,10 +1,13 @@
 // NDJSON streaming for the explore endpoints (?stream=1).
 //
 // A streamed exploration answers with Content-Type application/x-ndjson:
-// one JSON record per line, flushed as written, so the first path reaches
-// the client while the engine is still searching — the interactivity the
-// paper's §5 latency numbers are about, but without waiting for the run
-// to finish at all. The record vocabulary:
+// one JSON record per line. The first record is flushed as written, so
+// the first path reaches the client while the engine is still searching
+// — the interactivity the paper's §5 latency numbers are about, but
+// without waiting for the run to finish at all. The terminal record is
+// flushed as written too, and every other record reaches the client
+// within streamFlushDelay of being written (see streamWriter). The
+// record vocabulary:
 //
 //	{"path":{...}}       one learning path (deadline/goal/ranked)
 //	{"selection":{...}}  one scored selection (whatif)
@@ -21,6 +24,8 @@ package server
 import (
 	"context"
 	"net/http"
+	"sync"
+	"time"
 
 	"repro"
 	"repro/internal/admission"
@@ -74,11 +79,29 @@ func streamable(w http.ResponseWriter, req *ExploreRequest) bool {
 	return true
 }
 
+// streamFlushDelay bounds how long a record other than the first and
+// the terminal one waits in the response buffer before it is flushed.
+// A flush per record costs a write(2) and a wake-up of the client's
+// reader per record; flushing at most once per delay lets a burst of
+// records (a cohort job's members, a fast search's paths) share one.
+const streamFlushDelay = time.Millisecond
+
 // streamWriter frames NDJSON records onto the response. The header is
 // written lazily with the first record, so pre-start failures still get
-// a plain 4xx JSON envelope; each record is flushed as soon as it is
-// written. The first write failure kills the stream (the client is
-// gone — statusRecorder reports it as a write abort).
+// a plain 4xx JSON envelope. Each record is one Write as rendered; only
+// flushes are coalesced. The first record and the terminal one (summary
+// or error, written by finishStream) are flushed at once; any other is
+// flushed by the next record that finds streamFlushDelay has passed
+// since the last flush or, when the producer goes quiet first, by a
+// timer, so it reaches the client within streamFlushDelay. The first
+// write failure kills the stream (the client is gone — statusRecorder
+// reports it as a write abort).
+//
+// The timer flushes from its own goroutine, so Write and Flush hold mu.
+// Every handler that opens a stream defers close, which stops and fences
+// the timer: nothing touches the response after the handler returns,
+// and on a panic close runs before ServeHTTP's recovery writes its
+// in-band error record.
 type streamWriter struct {
 	w http.ResponseWriter
 	// buf is the record buffer: each record is rendered into buf[:0]
@@ -89,6 +112,15 @@ type streamWriter struct {
 	started bool
 	err     error
 	paths   int64
+
+	mu sync.Mutex // guards the response and the fields below
+	// lastFlush is when the response was last flushed; zero before the
+	// first record.
+	lastFlush time.Time
+	// pending: a record was written after lastFlush. armed: the timer
+	// will fire. closed: close ran, the timer must not flush.
+	pending, armed, closed bool
+	timer                  *time.Timer
 }
 
 func (s *Server) newStreamWriter(w http.ResponseWriter) *streamWriter {
@@ -99,11 +131,20 @@ func (s *Server) newStreamWriter(w http.ResponseWriter) *streamWriter {
 	return sw
 }
 
-// record writes one NDJSON record rendered into sw.buf and flushes it
-// to the client. renderErr is the render's failure on a value
-// encoding/json refuses: like the encoder's, it fails the stream after
-// the header, with nothing of the record written.
+// record writes one NDJSON record rendered into sw.buf; it reaches the
+// client within streamFlushDelay. renderErr is the render's failure on a
+// value encoding/json refuses: like the encoder's, it fails the stream
+// after the header, with nothing of the record written.
 func (sw *streamWriter) record(rec []byte, renderErr error) error {
+	return sw.write(rec, renderErr, false)
+}
+
+// terminal is record for the stream's last record, flushed at once.
+func (sw *streamWriter) terminal(rec []byte, renderErr error) error {
+	return sw.write(rec, renderErr, true)
+}
+
+func (sw *streamWriter) write(rec []byte, renderErr error, terminal bool) error {
 	if sw.err != nil {
 		return sw.err
 	}
@@ -132,14 +173,71 @@ func (sw *streamWriter) record(rec []byte, renderErr error) error {
 		return renderErr
 	}
 	sw.buf = rec[:0]
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	if _, err := sw.w.Write(rec); err != nil {
 		sw.err = err
 		return err
 	}
-	if sw.flush != nil {
-		sw.flush()
+	if sw.flush == nil {
+		return nil
+	}
+	// The first record finds lastFlush zero, so it is flushed at once.
+	now := time.Now()
+	since := now.Sub(sw.lastFlush)
+	if terminal || since >= streamFlushDelay {
+		sw.flushLocked(now)
+		return nil
+	}
+	sw.pending = true
+	if !sw.armed {
+		sw.armed = true
+		if sw.timer == nil {
+			sw.timer = time.AfterFunc(streamFlushDelay-since, sw.onTimer)
+		} else {
+			sw.timer.Reset(streamFlushDelay - since)
+		}
 	}
 	return nil
+}
+
+// flushLocked flushes the response; sw.mu must be held.
+func (sw *streamWriter) flushLocked(now time.Time) {
+	sw.flush()
+	sw.lastFlush, sw.pending = now, false
+}
+
+// onTimer flushes a record the producer left pending. If a record
+// flushed the stream after the timer was armed, less than
+// streamFlushDelay may have passed since that flush; the timer then
+// waits out the rest, so flushes stay at least streamFlushDelay apart.
+func (sw *streamWriter) onTimer() {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	sw.armed = false
+	if sw.closed || !sw.pending {
+		return
+	}
+	now := time.Now()
+	if wait := streamFlushDelay - now.Sub(sw.lastFlush); wait > 0 {
+		sw.armed = true
+		sw.timer.Reset(wait)
+		return
+	}
+	sw.flushLocked(now)
+}
+
+// close stops the flush timer and fences it: once close returns, the
+// timer's goroutine no longer touches the response. It flushes nothing —
+// finishStream's terminal record already went out, and net/http flushes
+// whatever is left when the handler returns.
+func (sw *streamWriter) close() {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	sw.closed = true
+	if sw.timer != nil {
+		sw.timer.Stop()
+	}
 }
 
 type pathRecord struct {
@@ -159,21 +257,23 @@ type summaryRecord struct {
 // failed after records went out gets an in-band {"error":...} record
 // (the status line already said 200 — the error record is the only way
 // to tell the client); a run that failed before any record fell back to
-// the plain JSON envelope; a dead socket gets nothing.
+// the plain JSON envelope; a dead socket gets nothing. A terminal record
+// is flushed as written, so the client has it before the caller goes on
+// (a complete explore stream renders its cache entry next).
 func (s *Server) finishStream(w http.ResponseWriter, sw *streamWriter, err error, trailer func(dst []byte) ([]byte, error)) {
 	if ev := usageEvent(w); ev != nil {
 		ev.Streamed, ev.StreamedPaths = sw.started, sw.paths
 	}
 	switch {
 	case err == nil:
-		_ = sw.record(trailer(sw.buf[:0]))
+		_ = sw.terminal(trailer(sw.buf[:0]))
 	case !sw.started:
 		s.writeNavErr(w, err)
 	case sw.err != nil:
 		// The write failed: the client disconnected mid-stream. The run
 		// was aborted through the callback error; nothing can be sent.
 	default:
-		_ = sw.record(appendErrorRecord(sw.buf[:0], errorBody{Error: errorInfo{Code: CodeInternal, Message: err.Error()}}), nil)
+		_ = sw.terminal(appendErrorRecord(sw.buf[:0], errorBody{Error: errorInfo{Code: CodeInternal, Message: err.Error()}}), nil)
 	}
 }
 
@@ -187,6 +287,7 @@ func (s *Server) streamPaths(w http.ResponseWriter, r *http.Request, req *Explor
 	ctx, cancel := s.runCtx(r, req.Budget)
 	defer cancel()
 	sw := s.newStreamWriter(w)
+	defer sw.close()
 	sum, err := run(ctx, func(p coursenav.StreamedPath) error {
 		if err := sw.record(appendPathRecord(sw.buf[:0], pathRecord{Path: p})); err != nil {
 			return err
@@ -223,6 +324,7 @@ func (s *Server) streamWhatIf(w http.ResponseWriter, r *http.Request, req *Explo
 	ctx, cancel := s.runCtx(r, req.Budget)
 	defer cancel()
 	sw := s.newStreamWriter(w)
+	defer sw.close()
 	var n int64
 	stopped, err := nav.WhatIfStream(ctx, s.query(req.Query, req.Budget), goal, func(im coursenav.SelectionImpact) error {
 		if err := sw.record(appendSelectionRecord(sw.buf[:0], selectionRecord{Selection: im}), nil); err != nil {

@@ -72,7 +72,8 @@ func (e *unitShedError) Error() string {
 // runUnit runs one unit through the serving pipeline:
 //
 //  1. cache Get — an identical completed unit replays instantly ("hit")
-//  2. flight Join — an identical in-flight unit is awaited ("coalesced");
+//  2. flight Join, atomically with step 1 (GetOrJoin) — an identical
+//     in-flight unit is awaited ("coalesced");
 //     a follower whose context ends first returns its error having run
 //     nothing, and one whose leader published nothing computes itself
 //  3. admission — the two-level gate an interactive request passes
@@ -96,10 +97,9 @@ func (s *Server) runUnit(ctx context.Context, u unit, exec func(context.Context)
 	var flight *resultcache.Flight
 	leader := false
 	if u.cache != nil {
-		if ent, ok := u.cache.Get(u.key); ok {
+		if ent, flight, leader = u.cache.GetOrJoin(u.key); ent != nil {
 			return ent, "hit", admission.Admitted, nil
 		}
-		flight, leader = u.cache.Join(u.key)
 		if !leader {
 			if u.try {
 				return nil, "coalesced", admission.Admitted, nil
